@@ -26,7 +26,7 @@ import (
 // admission instead of queued without limit.
 func servesweepMode(cacheJSON string) bool {
 	srv := server.New(server.Config{
-		Workers: 2, QueueCap: 8, MaxLanes: 8, CacheCap: 2,
+		Workers: 2, QueueCap: 8, CacheCap: 2,
 		Rate: -1, BreakerThreshold: -1, // sweep measures queue shedding alone
 	})
 	ts := httptest.NewServer(srv)
@@ -37,7 +37,7 @@ func servesweepMode(cacheJSON string) bool {
 		srv.Drain(ctx)
 	}()
 
-	fmt.Println("Service degradation sweep — sort n=16 jobs, 2 workers, queue 8, lanes 8")
+	fmt.Println("Service degradation sweep — sort n=16 jobs, 2 workers, queue 8")
 	fmt.Println()
 	fmt.Printf("%10s  %12s  %9s  %9s  %9s  %7s  %7s\n",
 		"offered/s", "completed/s", "p50 ms", "p99 ms", "max ms", "shed %", "errors")
@@ -160,7 +160,7 @@ func cacheSweepSection(jsonPath string) bool {
 
 	for _, sd := range sides {
 		sd.srv = server.New(server.Config{
-			Workers: 2, QueueCap: 8, MaxLanes: 8, CacheCap: 2,
+			Workers: 2, QueueCap: 8, CacheCap: 2,
 			Rate: -1, BreakerThreshold: -1,
 			ResultCacheBytes: sd.bytes,
 		})

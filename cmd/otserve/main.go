@@ -6,7 +6,7 @@
 // Usage:
 //
 //	otserve -addr :8080
-//	otserve -workers 8 -queue 64 -lanes 8 -cachecap 8
+//	otserve -workers 8 -queue 64 -cachecap 8
 //	otserve -rate 50 -burst 25            # per-client token buckets
 //	otserve -breaker 3                    # trip after 3 class failures
 //	otserve -draintimeout 30s             # SIGTERM → finish in-flight
@@ -89,7 +89,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "worker pool width")
 	queue := flag.Int("queue", 0, "admission queue capacity (0 = 4×workers)")
-	lanes := flag.Int("lanes", 8, "max batch-coalescing lanes (1 disables)")
 	cachecap := flag.Int("cachecap", 0, "machines per cache shard (0 = workers)")
 	rate := flag.Float64("rate", 50, "per-client token-bucket rate, jobs/sec (-1 disables)")
 	burst := flag.Float64("burst", 25, "per-client token-bucket burst")
@@ -135,7 +134,7 @@ func main() {
 	}
 
 	srv, err := server.Open(server.Config{
-		Workers: *workers, QueueCap: *queue, MaxLanes: *lanes, CacheCap: *cachecap,
+		Workers: *workers, QueueCap: *queue, CacheCap: *cachecap,
 		Rate: *rate, Burst: *burst,
 		BreakerThreshold: *breaker, BreakerBase: *breakerBase, BreakerMax: *breakerMax,
 		MaxSessions: *maxSessions, SessionTTL: *sessionTTL,
@@ -159,8 +158,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "otserve: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "otserve: listening on %s (workers %d, queue %d, lanes %d)\n",
-		ln.Addr(), *workers, *queue, *lanes)
+	fmt.Fprintf(os.Stderr, "otserve: listening on %s (workers %d, queue %d)\n",
+		ln.Addr(), *workers, *queue)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

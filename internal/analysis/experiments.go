@@ -57,7 +57,7 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 		cfg := vlsi.Config{WordBits: vlsi.WordBitsFor(n), Model: model}
 		perm := func() []int64 { return workload.NewRNG(seed + uint64(n)).Perm(n) }
 
-		cells = append(cells, memoCell(id, "mesh", n, claims["mesh"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			mm, err := mesh.New(meshSide(n), cfg)
 			if err != nil {
 				return Row{}, err
@@ -67,9 +67,9 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 				return Row{}, fmt.Errorf("mesh: %w", err)
 			}
 			return Row{Network: "mesh", N: n, Area: mm.Area(), Time: t, Claim: claims["mesh"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell(id, "psn", n, claims["psn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			pm, err := psn.New(n, cfg)
 			if err != nil {
 				return Row{}, err
@@ -79,9 +79,9 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 				return Row{}, fmt.Errorf("psn: %w", err)
 			}
 			return Row{Network: "psn", N: n, Area: pm.Area(), Time: t, Claim: claims["psn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell(id, "ccc", n, claims["ccc"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			cm, err := ccc.New(n, cfg)
 			if err != nil {
 				return Row{}, err
@@ -91,9 +91,9 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 				return Row{}, fmt.Errorf("ccc: %w", err)
 			}
 			return Row{Network: "ccc", N: n, Area: cm.Area(), Time: t, Claim: claims["ccc"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell(id, "otn", n, claims["otn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			om, release, err := cachedOTN(n, cfg)
 			if err != nil {
 				return Row{}, err
@@ -104,10 +104,10 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 				return Row{}, fmt.Errorf("otn: %w", err)
 			}
 			return Row{Network: "otn", N: n, Area: om.Area(), Time: t, Claim: claims["otn"]}, nil
-		}))
+		})
 
 		if id == "Table I" { // Section VII-D: no OTC under constant delay
-			cells = append(cells, memoCell(id, "otc", n, claims["otc"], func() (Row, error) {
+			cells = append(cells, func() (Row, error) {
 				l := cycleLenFor(n)
 				tm, err := otc.New(n/l, l, cfg)
 				if err != nil {
@@ -118,7 +118,7 @@ func Table1Sorting(ns []int, model vlsi.DelayModel) (*Experiment, error) {
 					return Row{}, fmt.Errorf("otc: %w", err)
 				}
 				return Row{Network: "otc", N: n, Area: tm.Area(), Time: t, Claim: claims["otc"]}, nil
-			}))
+			})
 		}
 	}
 	rows, err := runCells(cells)
@@ -164,7 +164,7 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 			return a, b, matrix.RefBoolMatMul(a, b)
 		}
 
-		cells = append(cells, memoCell("Table II", "mesh", n, BoolMatMulClaims["mesh"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			a, b, want := operands()
 			cfgN := vlsi.DefaultConfig(n * n)
 			mm, err := mesh.New(n, vlsi.Config{WordBits: 2, Model: cfgN.Model})
@@ -176,9 +176,9 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("mesh: %w", err)
 			}
 			return Row{Network: "mesh", N: n, Area: mm.Area(), Time: t, Claim: BoolMatMulClaims["mesh"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table II", "psn", n, BoolMatMulClaims["psn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			a, b, want := operands()
 			pm, err := psn.New(n*n*n, vlsi.DefaultConfig(n*n*n))
 			if err != nil {
@@ -189,9 +189,9 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("psn: %w", err)
 			}
 			return Row{Network: "psn", N: n, Area: pm.Area(), Time: t, Claim: BoolMatMulClaims["psn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table II", "ccc", n, BoolMatMulClaims["ccc"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			a, b, want := operands()
 			cfgCube := vlsi.DefaultConfig(n * n * n)
 			cm, err := ccc.New(n*n*n, cfgCube)
@@ -203,9 +203,9 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("ccc: %w", err)
 			}
 			return Row{Network: "ccc", N: n, Area: cm.Area(), Time: t, Claim: BoolMatMulClaims["ccc"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table II", "otn", n, BoolMatMulClaims["otn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			a, b, want := operands()
 			om, release, err := cachedMatMulMachine(n, vlsi.LogDelay{})
 			if err != nil {
@@ -217,9 +217,9 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("otn: %w", err)
 			}
 			return Row{Network: "otn", N: n, Area: om.Area(), Time: t, Claim: BoolMatMulClaims["otn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table II", "otc", n, BoolMatMulClaims["otc"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			a, b, want := operands()
 			l := cycleLenFor(n * n)
 			tm, release, err := cachedEmulatedOTN(n*n, l, vlsi.DefaultConfig(n*n))
@@ -232,7 +232,7 @@ func Table2BoolMatMul(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("otc: %w", err)
 			}
 			return Row{Network: "otc", N: n, Area: tm.Area(), Time: t, Claim: BoolMatMulClaims["otc"]}, nil
-		}))
+		})
 	}
 	rows, err := runCells(cells)
 	if err != nil {
@@ -282,7 +282,7 @@ func Table3Components(ns []int) (*Experiment, error) {
 			return g, adj, graph.RefComponents(g)
 		}
 
-		cells = append(cells, memoCell("Table III", "mesh", n, ComponentsClaims["mesh"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			_, adj, want := gen()
 			mm, err := mesh.New(n, cfg)
 			if err != nil {
@@ -293,14 +293,14 @@ func Table3Components(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("mesh components wrong at n=%d", n)
 			}
 			return Row{Network: "mesh", N: n, Area: mm.Area(), Time: t, Claim: ComponentsClaims["mesh"]}, nil
-		}))
+		})
 
 		// PSN/CCC: CONNECT on N² processors, executed as a hypercube
 		// program (internal/cube) with each dimension step priced by
 		// the host network — a shuffle cycle on the PSN, a cycle
 		// rotation or cube wire on the CCC.
 		w := vlsi.WordBitsFor(n * n)
-		cells = append(cells, memoCell("Table III", "psn", n, ComponentsClaims["psn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			_, adj, want := gen()
 			pm, err := psn.New(n*n, cfg)
 			if err != nil {
@@ -316,9 +316,9 @@ func Table3Components(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("psn components wrong at n=%d", n)
 			}
 			return Row{Network: "psn", N: n, Area: layout.PSNArea(n*n, w), Time: t, Claim: ComponentsClaims["psn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table III", "ccc", n, ComponentsClaims["ccc"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			_, adj, want := gen()
 			cm, err := ccc.New(n*n, cfg)
 			if err != nil {
@@ -334,9 +334,9 @@ func Table3Components(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("ccc components wrong at n=%d", n)
 			}
 			return Row{Network: "ccc", N: n, Area: layout.CCCArea(n*n, w), Time: t, Claim: ComponentsClaims["ccc"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table III", "otn", n, ComponentsClaims["otn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			g, _, want := gen()
 			om, release, err := cachedOTN(n, cfg)
 			if err != nil {
@@ -349,9 +349,9 @@ func Table3Components(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("otn components wrong at n=%d", n)
 			}
 			return Row{Network: "otn", N: n, Area: om.Area(), Time: t, Claim: ComponentsClaims["otn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell("Table III", "otc", n, ComponentsClaims["otc"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			g, _, want := gen()
 			l := cycleLenFor(n)
 			tm, release, err := cachedEmulatedOTN(n, l, cfg)
@@ -365,7 +365,7 @@ func Table3Components(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("otc components wrong at n=%d", n)
 			}
 			return Row{Network: "otc", N: n, Area: tm.Area(), Time: t, Claim: ComponentsClaims["otc"]}, nil
-		}))
+		})
 	}
 	rows, err := runCells(cells)
 	if err != nil {

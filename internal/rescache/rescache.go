@@ -72,15 +72,14 @@ func (f *Flight) Value() (any, []byte) { return f.val, f.body }
 
 // Stats is the cache's observability surface.
 type Stats struct {
-	Hits      int64 `json:"hits"`       // lookups served from stored bytes
-	Misses    int64 `json:"misses"`     // lookups that became flight leaders
-	Coalesced int64 `json:"coalesced"`  // followers attached to in-flight leaders
-	Stores    int64 `json:"stores"`     // bodies published into the LRU
-	Evictions int64 `json:"evictions"`  // bodies evicted by the byte budget
-	Entries   int   `json:"entries"`    // bodies resident right now
-	Bytes     int64 `json:"bytes"`      // resident body bytes
-	Budget    int64 `json:"budget"`     // configured byte budget
-	LaneDedup int64 `json:"lane_dedup"` // batch lanes served by an identical sibling lane
+	Hits      int64 `json:"hits"`      // lookups served from stored bytes
+	Misses    int64 `json:"misses"`    // lookups that became flight leaders
+	Coalesced int64 `json:"coalesced"` // followers attached to in-flight leaders
+	Stores    int64 `json:"stores"`    // bodies published into the LRU
+	Evictions int64 `json:"evictions"` // bodies evicted by the byte budget
+	Entries   int   `json:"entries"`   // bodies resident right now
+	Bytes     int64 `json:"bytes"`     // resident body bytes
+	Budget    int64 `json:"budget"`    // configured byte budget
 }
 
 type entry struct {
@@ -194,14 +193,6 @@ func (c *Cache) storeLocked(key string, body []byte) {
 		c.bytes -= int64(len(e.body))
 		c.stats.Evictions++
 	}
-}
-
-// NoteLaneDedup counts n batch lanes that were served by copying an
-// identical sibling lane's result instead of executing.
-func (c *Cache) NoteLaneDedup(n int) {
-	c.mu.Lock()
-	c.stats.LaneDedup += int64(n)
-	c.mu.Unlock()
 }
 
 // Stats returns a consistent snapshot of the counters.

@@ -254,12 +254,13 @@ func TestPackedLargeN(t *testing.T) {
 	}
 }
 
-// TestDeterminismUnderConcurrency is satellite 3: the same
-// (seed, schedule, workload) submitted concurrently — through cache
-// reuse and batch coalescing — produces bit-identical metrics, and
-// distinct seeds each match their own dedicated-run reference.
+// TestDeterminismUnderConcurrency pins the concurrent-submission
+// contract: the same (seed, schedule, workload) submitted concurrently
+// — through machine-cache reuse across workers — produces
+// bit-identical metrics, and distinct seeds each match their own
+// dedicated-run reference.
 func TestDeterminismUnderConcurrency(t *testing.T) {
-	ts := testServer(t, Config{Workers: 4, QueueCap: 64, MaxLanes: 8, Rate: -1})
+	ts := testServer(t, Config{Workers: 4, QueueCap: 64, Rate: -1})
 
 	// Same job, 16 concurrent copies.
 	same := &Job{Alg: "sort", N: 16, Seed: 42}
@@ -280,8 +281,8 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 		}
 	}
 
-	// Distinct seeds racing through shared lanes: each must equal its
-	// own solo reference.
+	// Distinct seeds racing through the worker pool and its shared
+	// machine cache: each must equal its own solo reference.
 	wants := make([]*report.Report, 8)
 	for i := range wants {
 		wants[i] = otsimReport(t, &Job{Alg: "sort", N: 16, Seed: uint64(100 + i)})
@@ -305,7 +306,7 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 // TestStreamSubmission pins the NDJSON array path: every line carries
 // a correct, attributable report.
 func TestStreamSubmission(t *testing.T) {
-	ts := testServer(t, Config{Workers: 2, QueueCap: 32, MaxLanes: 4, Rate: -1})
+	ts := testServer(t, Config{Workers: 2, QueueCap: 32, Rate: -1})
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, &Job{ID: fmt.Sprintf("j%d", i), Alg: "sort", N: 16, Seed: uint64(i)})

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mcache"
 	"repro/internal/packed"
 	"repro/internal/report"
-	"repro/internal/rescache"
 	"repro/internal/resilience"
 	"repro/internal/vlsi"
 	"repro/internal/workload"
@@ -23,11 +22,6 @@ import (
 // below mirror cmd/otsim/main.go line for line.
 type Executor struct {
 	cache *mcache.Cache
-	// resc, when set, lets RunBatch deduplicate identical specs within
-	// one coalesced batch: duplicate fingerprints share a lane and the
-	// lane's report is cloned per job. nil means every job gets its own
-	// lane (the pre-cache behavior).
-	resc *rescache.Cache
 }
 
 // NewExecutor wraps a machine cache.
@@ -232,93 +226,4 @@ func (e *Executor) runSupervised(ctx context.Context, j *Job) (*report.Report, e
 		return rep, fmt.Errorf("server: %s", rep.Error)
 	}
 	return rep, nil
-}
-
-// RunBatch coalesces compatible plain sort jobs into the lanes of one
-// core.Batch: one machine checkout, one set of tree traversals, B
-// results — each lane's simulated times bit-identical to a dedicated
-// run (the batch engine's determinism contract). Jobs must all be
-// Batchable and share a Class; the pool guarantees both.
-//
-// When the result cache is enabled, jobs within one batch that share a
-// fingerprint also share a lane: the lane executes once and its report
-// is cloned per job (JobID aside). Like batch coalescing itself, the
-// dedup is invisible in the report — a duplicate's simulated content is
-// bit-identical to a dedicated lane's, which is exactly what makes the
-// sharing sound.
-func (e *Executor) RunBatch(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-	if e.resc != nil && len(jobs) > 1 {
-		return e.runBatchDeduped(ctx, jobs)
-	}
-	return e.runBatchAll(ctx, jobs)
-}
-
-// runBatchDeduped maps each job to a unique-fingerprint lane, runs the
-// unique lanes, and fans the reports back out.
-func (e *Executor) runBatchDeduped(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-	unique := make([]*Job, 0, len(jobs))
-	slot := make(map[string]int, len(jobs))
-	lane := make([]int, len(jobs))
-	for i, j := range jobs {
-		fp := j.Fingerprint()
-		u, ok := slot[fp]
-		if !ok {
-			u = len(unique)
-			slot[fp] = u
-			unique = append(unique, j)
-		}
-		lane[i] = u
-	}
-	if len(unique) == len(jobs) {
-		return e.runBatchAll(ctx, jobs)
-	}
-	ureps, err := e.runBatchAll(ctx, unique)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]*report.Report, len(jobs))
-	for i, j := range jobs {
-		r := *ureps[lane[i]]
-		r.JobID = j.ID
-		reps[i] = &r
-	}
-	e.resc.NoteLaneDedup(len(jobs) - len(unique))
-	return reps, nil
-}
-
-// runBatchAll executes every job on its own lane (the pre-dedup
-// RunBatch body).
-func (e *Executor) runBatchAll(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-	if len(jobs) == 1 {
-		rep, err := e.Run(ctx, jobs[0])
-		return []*report.Report{rep}, err
-	}
-	j0 := jobs[0]
-	m, release, err := e.checkout(ctx, j0)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	bb, err := core.NewBatch(m, len(jobs))
-	if err != nil {
-		return nil, err
-	}
-	problems := make([][]int64, len(jobs))
-	for p, j := range jobs {
-		problems[p] = workload.NewRNG(j.Seed).Perm(j.N)
-	}
-	_, times := sorting.SortOTNBatch(bb, problems)
-	if err := bb.Err(); err != nil {
-		return nil, err
-	}
-	reps := make([]*report.Report, len(jobs))
-	for p, j := range jobs {
-		metric := vlsi.Metric{Area: m.Area(), Time: times[p]}
-		reps[p] = &report.Report{
-			Alg: j.Alg, Network: j.network(), Model: j.model().Name(), N: j.N, Seed: j.Seed,
-			Time: int64(times[p]), Area: int64(m.Area()), AT2: metric.AT2(),
-			Recovered: true, JobID: j.ID,
-		}
-	}
-	return reps, nil
 }

@@ -25,8 +25,6 @@ type Config struct {
 	Workers int
 	// QueueCap bounds the admission queue (default 4 × Workers).
 	QueueCap int
-	// MaxLanes bounds batch coalescing (default 8; 1 disables).
-	MaxLanes int
 	// CacheCap bounds checked-out machines per shape shard (default
 	// Workers; 0 would be unbounded, which a service never wants).
 	CacheCap int
@@ -75,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.Workers
-	}
-	if c.MaxLanes <= 0 {
-		c.MaxLanes = 8
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = c.Workers
@@ -170,11 +165,10 @@ func newServer(cfg Config) *Server {
 		s.resc = rescache.New(cfg.ResultCacheBytes)
 	}
 	s.executor = NewExecutor(s.cache)
-	s.executor.resc = s.resc
 	s.fairness = NewFairness(cfg.Rate, cfg.Burst, cfg.Now)
 	s.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax, cfg.Now)
 	s.metrics = NewMetrics()
-	s.pool = NewPool(cfg.Workers, cfg.QueueCap, cfg.MaxLanes, s.executor.RunBatch, s.breaker, s.metrics)
+	s.pool = NewPool(cfg.Workers, cfg.QueueCap, s.executor.Run, s.breaker, s.metrics)
 	s.sess.byID = make(map[string]*Session)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/jobs", s.handleJobs)
@@ -371,7 +365,7 @@ func respond(w http.ResponseWriter, res result, jobID string) {
 // handleJobs is POST /jobs: a single job object → one report; an
 // array of jobs → an NDJSON stream of per-job envelopes in completion
 // order (each line flushed as its simulation finishes — results
-// stream while later lanes still run).
+// stream while later jobs still run).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -1,4 +1,4 @@
-// Package server turns the batch engine, the machine cache and the
+// Package server turns the simulation engines, the machine cache and the
 // recovery supervisor into a long-running simulation service with a
 // front door that can say "no" safely. Clients POST jobs (workload,
 // network family, size, fault schedule, seed, deadline) to /jobs and
@@ -11,11 +11,11 @@
 //	breaker — a per-(alg, network, N) circuit breaker turns repeated
 //	           GiveUpError/panic job classes into fast 503s that
 //	           half-open on a backoff schedule
-//	pool    — a bounded worker pool checks machines out of per-shape
-//	           mcache shards, coalesces compatible sort jobs into
-//	           core.Batch lanes, and honors per-job deadlines via
-//	           context (a timed-out job's machine is returned to the
-//	           cache, or dropped by the cache if mid-mutation)
+//	pool    — a bounded worker pool runs each job alone on one
+//	           worker against a machine checked out of its per-shape
+//	           mcache shard, and honors per-job deadlines via context
+//	           (a timed-out job's machine is returned to the cache, or
+//	           dropped by the cache if mid-mutation)
 //	drain   — SIGTERM stops admission, finishes the queued and
 //	           in-flight jobs (supervised jobs keep their
 //	           checkpoint/rollback protection), flushes results and
@@ -23,7 +23,7 @@
 //
 // Simulated results are bit-identical to running the same job through
 // otsim directly — same seed, same schedule, same report — including
-// under concurrent submission and batch coalescing (the determinism
+// under concurrent submission and machine-cache reuse (the determinism
 // tests in this package pin both).
 package server
 
@@ -174,7 +174,7 @@ func (j *Job) model() vlsi.DelayModel {
 	}
 }
 
-// Class is the circuit-breaker and coalescing key: jobs of one class
+// Class is the circuit-breaker key: jobs of one class
 // are interchangeable resource-wise — same machine shape, same
 // workload family, same supervision mode.
 func (j *Job) Class() string {
@@ -207,10 +207,7 @@ func (j *Job) modelName() string {
 	return j.Model
 }
 
-// Batchable reports whether jobs of this class may share core.Batch
-// lanes: plain (unsupervised, fault-free) sorts on native OTN tree
-// routers. Each lane's simulated times are bit-identical to a
-// dedicated run, so coalescing is invisible in the report.
+// Batchable reports whether the job is a plain sort on native OTN routers; the bench module reads it.
 func (j *Job) Batchable() bool {
 	return j.Alg == "sort" && j.network() == "otn" && j.Faults == 0 && !j.Supervised()
 }

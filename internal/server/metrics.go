@@ -14,8 +14,7 @@ import (
 // /metrics. Everything the degradation ladder does is counted here:
 // what was admitted, what was shed and why, how full the queue is,
 // how often the breaker fired, how well the machine cache and the
-// shared route-plan cache are amortizing work, and how many jobs each
-// batch traversal carried.
+// shared route-plan cache are amortizing work.
 type Metrics struct {
 	mu    sync.Mutex
 	start time.Time
@@ -37,10 +36,6 @@ type Metrics struct {
 
 	queueDepth int64
 	inflight   int64
-
-	laneGroups int64 // batch groups executed
-	laneJobs   int64 // jobs carried by those groups
-	laneMax    int64 // widest group seen
 
 	packedJobs  int64 // jobs served by the machine-free packed engine
 	packedBits  int64 // adjacency-row bits those jobs actually used
@@ -100,10 +95,10 @@ type Snapshot struct {
 	BreakerOpenClasses int   `json:"breaker_open_classes"`
 	BreakerTrips       int64 `json:"breaker_trips"`
 
-	LaneGroups   int64   `json:"lane_groups"`
-	LaneJobs     int64   `json:"lane_jobs"`
-	LaneMax      int64   `json:"lane_max"`
-	LaneAvgOccup float64 `json:"lane_avg_occupancy"`
+	// LaneGroups always reads 0 (every job runs alone); the bench module reads it.
+	LaneGroups int64 `json:"lane_groups"`
+	// LaneJobs always reads 0 (every job runs alone); the bench module reads it.
+	LaneJobs int64 `json:"lane_jobs"`
 
 	// PackedJobs counts jobs served by the machine-free packed
 	// engine; PackedLaneOccup is the fraction of uint64 bit slots
@@ -125,9 +120,8 @@ type Snapshot struct {
 
 	// ResultCache is present only when the compute-once/serve-many
 	// result cache is enabled: how often identical specs were answered
-	// from stored bytes or coalesced onto an in-flight leader, what the
-	// byte-budgeted LRU holds, and how many batch lanes were deduplicated
-	// against an identical sibling.
+	// from stored bytes or coalesced onto an in-flight leader, and what
+	// the byte-budgeted LRU holds.
 	ResultCache *ResultCacheSnapshot `json:"result_cache,omitempty"`
 
 	// Durability is present only when the server journals (-journal):
@@ -165,7 +159,6 @@ type ResultCacheSnapshot struct {
 	Entries   int     `json:"entries"`
 	Bytes     int64   `json:"bytes"`
 	Budget    int64   `json:"budget_bytes"`
-	LaneDedup int64   `json:"lane_dedup"`
 	HitRate   float64 `json:"hit_rate"`
 }
 
@@ -175,7 +168,6 @@ func resultCacheSnapshot(s rescache.Stats) *ResultCacheSnapshot {
 		Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced,
 		Stores: s.Stores, Evictions: s.Evictions,
 		Entries: s.Entries, Bytes: s.Bytes, Budget: s.Budget,
-		LaneDedup: s.LaneDedup,
 	}
 	if total := s.Hits + s.Coalesced + s.Misses; total > 0 {
 		rc.HitRate = float64(s.Hits+s.Coalesced) / float64(total)
@@ -240,7 +232,6 @@ func (m *Metrics) snapshot(queueCap, workers int, cache *mcache.Cache, br *Break
 		DeadlineBeforeStart: m.deadlineBeforeStart, DeadlineMidRun: m.deadlineMidRun,
 		QueueDepth: m.queueDepth, QueueCap: queueCap,
 		Inflight: m.inflight, Workers: workers,
-		LaneGroups: m.laneGroups, LaneJobs: m.laneJobs, LaneMax: m.laneMax,
 		PackedJobs:      m.packedJobs,
 		SessionsActive:  sessionsActive,
 		SessionsCreated: m.sessionsCreated, SessionsExpired: m.sessionsExpired,
@@ -253,9 +244,6 @@ func (m *Metrics) snapshot(queueCap, workers int, cache *mcache.Cache, br *Break
 	m.mu.Unlock()
 	if s.UptimeSec > 0 {
 		s.Throughput = float64(s.Completed) / s.UptimeSec
-	}
-	if s.LaneGroups > 0 {
-		s.LaneAvgOccup = float64(s.LaneJobs) / float64(s.LaneGroups)
 	}
 	cs := cache.Stats()
 	s.MCache.Hits, s.MCache.Misses, s.MCache.Waits = cs.Hits, cs.Misses, cs.Waits

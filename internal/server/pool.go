@@ -49,16 +49,15 @@ func (qj *queuedJob) settle() {
 }
 
 // Pool is the bounded worker pool: admitted jobs ride a bounded
-// queue; workers pull, coalesce compatible plain sorts into
-// core.Batch lanes, execute against the machine cache, feed the
-// breaker, and deliver results. Exec is injectable for tests.
+// queue; each worker pulls one job, runs it alone against the machine
+// cache, feeds the breaker, and delivers the result. Exec is
+// injectable for tests.
 type Pool struct {
 	queue    chan *queuedJob
 	queueCap int
 	workers  int
-	maxLanes int
 
-	exec    func(ctx context.Context, jobs []*Job) ([]*report.Report, error)
+	exec    func(ctx context.Context, j *Job) (*report.Report, error)
 	breaker *Breaker
 	metrics *Metrics
 
@@ -70,23 +69,20 @@ type Pool struct {
 	wg       sync.WaitGroup
 }
 
-// NewPool builds and starts the workers. exec runs a compatible group
-// (len ≥ 1); the default is Executor.RunBatch.
-func NewPool(workers, queueCap, maxLanes int, exec func(context.Context, []*Job) ([]*report.Report, error), br *Breaker, mt *Metrics) *Pool {
+// NewPool builds and starts the workers. exec runs one job; the
+// default is Executor.Run.
+func NewPool(workers, queueCap int, exec func(context.Context, *Job) (*report.Report, error), br *Breaker, mt *Metrics) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	if queueCap < 1 {
 		queueCap = 1
 	}
-	if maxLanes < 1 {
-		maxLanes = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		queue: make(chan *queuedJob, queueCap), queueCap: queueCap,
-		workers: workers, maxLanes: maxLanes,
-		exec: exec, breaker: br, metrics: mt,
+		workers: workers,
+		exec:    exec, breaker: br, metrics: mt,
 		baseCtx: ctx, baseCancel: cancel,
 	}
 	for i := 0; i < workers; i++ {
@@ -148,45 +144,14 @@ func (p *Pool) Draining() bool {
 	return p.draining
 }
 
-// worker is the pull loop: take a job, opportunistically coalesce
-// compatible batchable jobs behind it (without ever blocking), run
-// the group, deliver. Exits when the queue is closed and empty.
+// worker is the pull loop: take a job, run it, deliver. Exits when
+// the queue is closed and empty.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for qj := range p.queue {
 		p.metrics.add(func(m *Metrics) { m.queueDepth-- })
-		if p.expired(qj) {
-			continue
-		}
-		group := []*queuedJob{qj}
-		var stash *queuedJob
-		if qj.spec.Batchable() {
-			class := qj.spec.Class()
-		collect:
-			for len(group) < p.maxLanes {
-				select {
-				case j2, ok := <-p.queue:
-					if !ok {
-						break collect
-					}
-					p.metrics.add(func(m *Metrics) { m.queueDepth-- })
-					if p.expired(j2) {
-						continue
-					}
-					if j2.spec.Batchable() && j2.spec.Class() == class {
-						group = append(group, j2)
-					} else {
-						stash = j2
-						break collect
-					}
-				default:
-					break collect
-				}
-			}
-		}
-		p.runGroup(group)
-		if stash != nil {
-			p.runGroup([]*queuedJob{stash})
+		if !p.expired(qj) {
+			p.run(qj)
 		}
 	}
 }
@@ -207,75 +172,51 @@ func (p *Pool) expired(qj *queuedJob) bool {
 	return true
 }
 
-// runGroup executes one compatible group with panic containment and
-// full accounting, feeds the breaker, and delivers each job's report.
-func (p *Pool) runGroup(group []*queuedJob) {
-	specs := make([]*Job, len(group))
-	for i, qj := range group {
-		specs[i] = qj.spec
-	}
-	p.metrics.add(func(m *Metrics) {
-		m.inflight += int64(len(group))
-		if len(group) > 1 {
-			m.laneGroups++
-			m.laneJobs += int64(len(group))
-			if int64(len(group)) > m.laneMax {
-				m.laneMax = int64(len(group))
-			}
-		}
-	})
-	var reps []*report.Report
+// run executes one job with panic containment and full accounting,
+// feeds the breaker, and delivers the job's report.
+func (p *Pool) run(qj *queuedJob) {
+	j := qj.spec
+	p.metrics.add(func(m *Metrics) { m.inflight++ })
+	var rep *report.Report
 	var err error
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("server: panic in %s: %v", specs[0].Class(), r)
+				err = fmt.Errorf("server: panic in %s: %v", j.Class(), r)
 				p.metrics.add(func(m *Metrics) { m.panics++ })
 			}
 		}()
-		reps, err = p.exec(p.baseCtx, specs)
+		rep, err = p.exec(p.baseCtx, j)
 	}()
 	if Counts(err) || err == nil {
-		p.breaker.Record(specs[0].Class(), err)
-	} else {
+		p.breaker.Record(j.Class(), err)
+	} else if qj.probe {
 		// Context cancellation (drain, dead deadline) says nothing
-		// about the class: skip Record but return any probe in the
-		// group so the class can probe again instead of wedging.
-		for _, qj := range group {
-			if qj.probe {
-				p.breaker.Release(qj.spec.Class())
-			}
-		}
+		// about the class: skip Record but return the probe so the
+		// class can probe again instead of wedging.
+		p.breaker.Release(j.Class())
 	}
 	p.metrics.add(func(m *Metrics) {
-		m.inflight -= int64(len(group))
+		m.inflight--
 		if err == nil {
-			m.completed += int64(len(group))
-			for _, j := range specs {
-				if j.usesPacked() {
-					m.packedJobs++
-					m.packedBits += int64(j.N)
-					m.packedSlots += int64(bits.Words(j.N) * bits.WordBits)
-				}
+			m.completed++
+			if j.usesPacked() {
+				m.packedJobs++
+				m.packedBits += int64(j.N)
+				m.packedSlots += int64(bits.Words(j.N) * bits.WordBits)
 			}
 		} else {
-			m.failed += int64(len(group))
+			m.failed++
 			if IsGiveUp(err) {
 				m.giveUps++
 			}
 		}
-	})
-	for i, qj := range group {
-		var rep *report.Report
-		if reps != nil && i < len(reps) {
-			rep = reps[i]
-		}
 		if qj.ctx.Err() == context.DeadlineExceeded {
-			p.metrics.add(func(m *Metrics) { m.deadlineMidRun++ })
+			m.deadlineMidRun++
 		}
-		qj.res <- result{rep: rep, err: err}
-		qj.settle()
-	}
+	})
+	qj.res <- result{rep: rep, err: err}
+	qj.settle()
 }
 
 // queueDepth exposes the live depth (metrics snapshot uses the

@@ -44,9 +44,9 @@ func TestOverloadSheds(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 2, Rate: -1, BreakerThreshold: -1})
 	release := make(chan struct{})
 	real := s.pool.exec
-	s.pool.exec = func(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
+	s.pool.exec = func(ctx context.Context, j *Job) (*report.Report, error) {
 		<-release
-		return real(ctx, jobs)
+		return real(ctx, j)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -69,8 +69,7 @@ func TestOverloadSheds(t *testing.T) {
 		}(i)
 		if i == 0 {
 			// Let the first job reach the worker so the queue math is
-			// deterministic: 1 in flight + 2 queued (coalescing is
-			// blocked behind the stalled exec).
+			// deterministic: 1 in flight + 2 queued.
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
@@ -223,11 +222,11 @@ func TestBreakerProbeRelease(t *testing.T) {
 func TestBreakerTripsEndToEnd(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 8, Rate: -1, BreakerThreshold: 2})
 	real := s.pool.exec
-	s.pool.exec = func(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-		if jobs[0].Alg == "cc" {
+	s.pool.exec = func(ctx context.Context, j *Job) (*report.Report, error) {
+		if j.Alg == "cc" {
 			return nil, errors.New("synthetic class failure")
 		}
-		return real(ctx, jobs)
+		return real(ctx, j)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -272,11 +271,11 @@ func TestBreakerProbeSurvivesFairnessShed(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 8, Rate: 1, Burst: 1,
 		BreakerThreshold: 1, Now: clock})
 	real := s.pool.exec
-	s.pool.exec = func(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-		if jobs[0].Alg == "cc" {
+	s.pool.exec = func(ctx context.Context, j *Job) (*report.Report, error) {
+		if j.Alg == "cc" {
 			return nil, errors.New("synthetic class failure")
 		}
-		return real(ctx, jobs)
+		return real(ctx, j)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -358,9 +357,9 @@ func TestDeadlineQueued(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	real := s.pool.exec
-	s.pool.exec = func(ctx context.Context, jobs []*Job) ([]*report.Report, error) {
-		once.Do(func() { <-release }) // stall only the first group
-		return real(ctx, jobs)
+	s.pool.exec = func(ctx context.Context, j *Job) (*report.Report, error) {
+		once.Do(func() { <-release }) // stall only the first job
+		return real(ctx, j)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -478,7 +477,7 @@ func TestValidation(t *testing.T) {
 
 // TestMetricsEndpoint sanity-checks the /metrics document.
 func TestMetricsEndpoint(t *testing.T) {
-	ts := testServer(t, Config{Workers: 2, MaxLanes: 4, Rate: -1})
+	ts := testServer(t, Config{Workers: 2, Rate: -1})
 	for i := 0; i < 4; i++ {
 		if st, _, _ := rawPost(t, ts, &Job{Alg: "sort", N: 16, Seed: uint64(i)}); st != http.StatusOK {
 			t.Fatalf("job %d: %d", i, st)

@@ -29,7 +29,7 @@ echo "cachesmoke: building (otserve with -race)"
 $GO build -race -o "$TMP/otserve" ./cmd/otserve
 $GO build -o "$TMP/otload" ./cmd/otload
 
-"$TMP/otserve" -addr 127.0.0.1:0 -workers 2 -queue 8 -lanes 8 \
+"$TMP/otserve" -addr 127.0.0.1:0 -workers 2 -queue 8 \
     -rate -1 -leakcheck 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
