@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench benchcmp benchsmoke benchthroughput benchroutes benchpacked benchincremental servesmoke servesweep chaossmoke cachesmoke benchmod ci
+.PHONY: build test vet race fuzz bench benchcmp benchsmoke benchroutes benchpacked benchincremental servesmoke servesweep chaossmoke cachesmoke benchmod ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # The race detector is pointed at the packages that share memory
 # across goroutines: the goroutine-per-node engine, the tree router it
@@ -48,11 +49,6 @@ bench:
 benchcmp:
 	$(GO) run ./cmd/otbench -compare BENCH.json
 
-# Batched benchmarks only: amortized ns/instance and instances/sec
-# versus the lane count B.
-benchthroughput:
-	$(GO) run ./cmd/otbench -throughput
-
 # Route-bound benchmarks compiled vs interpreted: the
 # plan-once/replay-many speedup table, plus an exact equality check on
 # every simulated metric between the two modes.
@@ -60,15 +56,12 @@ benchroutes:
 	$(GO) run ./cmd/otbench -routes
 
 # One-iteration pass over every benchmark: compile + run smoke, no
-# timing fidelity intended. The explicit SortBatch pass additionally
-# smokes the batched engine with more than one iteration so the
-# lane-reset path runs too, the Table1SortOTN pass runs twice so the
+# timing fidelity intended. The Table1SortOTN pass runs twice so the
 # second iteration exercises plan adoption and replay from the shared
 # route-plan cache, and one recovery-sweep point smokes the
 # checkpoint/rollback supervisor end to end through the CLI.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'SortBatch16' -benchtime 2x .
 	$(GO) test -run '^$$' -bench 'Table1SortOTN' -benchtime 2x .
 	$(GO) run ./cmd/otsim -alg sort -n 16 -schedule 2 -json > /dev/null
 	$(GO) run ./cmd/otbench -packed -sizes 16,1024 > /dev/null

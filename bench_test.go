@@ -403,38 +403,3 @@ func BenchmarkBitonicMerge(b *testing.B) {
 	}
 	b.ReportMetric(float64(done), "bit-times")
 }
-
-// --- Batched multi-instance execution -------------------------------
-
-// benchSortBatch sorts `lanes` independent permutations per op on one
-// batched machine; lane amortization shows up as ns/instance =
-// ns/op ÷ lanes. The lane-0 completion time is reported and must be
-// identical at every lane count (bit-identity of batching).
-func benchSortBatch(b *testing.B, lanes int) {
-	const k = 32
-	m, err := orthotrees.NewOTN(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bb, err := orthotrees.NewBatch(m, lanes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	problems := make([][]int64, lanes)
-	for p := range problems {
-		problems[p] = orthotrees.NewRNG(uint64(40 + p)).Perm(k)
-	}
-	var times []orthotrees.Time
-	for i := 0; i < b.N; i++ {
-		bb.Reset()
-		_, times = orthotrees.SortBatch(bb, problems)
-	}
-	if err := bb.Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(times[0]), "bit-times")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/instance")
-}
-
-func BenchmarkSortBatch1(b *testing.B)  { benchSortBatch(b, 1) }
-func BenchmarkSortBatch16(b *testing.B) { benchSortBatch(b, 16) }

@@ -164,9 +164,9 @@ func incrementalMode(sizes, format string) bool {
 	type cell struct{ n, bsz int }
 	ratios := map[cell]float64{}
 	for _, n := range ns {
-		rec := measure(fmt.Sprintf("RecomputeComponents/n=%d", n), 0, recomputeGridBench(n))
+		rec := measure(fmt.Sprintf("RecomputeComponents/n=%d", n), recomputeGridBench(n))
 		for _, bsz := range incrementalBatches {
-			inc := measure(fmt.Sprintf("IncrementalComponents/n=%d/b=%d", n, bsz), 0, incrementalBench(n, bsz))
+			inc := measure(fmt.Sprintf("IncrementalComponents/n=%d/b=%d", n, bsz), incrementalBench(n, bsz))
 			perBatch := inc.NsPerOp / 2 // one op = forward batch + inverse
 			ratio := 0.0
 			if perBatch > 0 {

@@ -26,7 +26,6 @@
 //	otbench -json BENCH.json  # run the bench suite, write the baseline
 //	otbench -compare BENCH.json          # re-run, diff against baseline
 //	otbench -json new.json -compare BENCH.json
-//	otbench -throughput       # batched benchmarks only: instances/sec table
 //	otbench -routes           # compiled vs interpreted routing table
 //	otbench -packed           # packed-engine scaling: Table III out to N=1024
 //	otbench -incremental      # streamed labeling: incremental vs full recompute
@@ -64,7 +63,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text | markdown")
 	jsonOut := flag.String("json", "", "run the benchmark suite and write results to this file")
 	compare := flag.String("compare", "", "run the benchmark suite and diff against this baseline file")
-	throughput := flag.Bool("throughput", false, "run only the batched benchmarks and print an instances/sec table")
 	routes := flag.Bool("routes", false, "run the route-bound benchmarks compiled and interpreted and print the comparison table")
 	packedSweep := flag.Bool("packed", false, "run the packed-engine scaling study (Table III extended to N=1024) and print the table")
 	incremental := flag.Bool("incremental", false, "run the incremental streaming-labeling study and the incremental-vs-recompute host-cost table")
@@ -96,8 +94,6 @@ func main() {
 		ok = incrementalMode(*sizes, *format)
 	} else if *routes {
 		ok = routesMode()
-	} else if *throughput {
-		throughputMode()
 	} else if *jsonOut != "" || *compare != "" {
 		ok = benchMode(*jsonOut, *compare)
 	} else {
@@ -243,10 +239,6 @@ type BenchResult struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
-	// Batch is the lane count of a batched benchmark (0 for
-	// single-instance entries). One op services Batch instances, so
-	// the amortized cost is NsPerOp/Batch ns per instance.
-	Batch int `json:"batch,omitempty"`
 	// Simulated holds model outputs (bit-times, λ² area) keyed by
 	// metric name. All are integer-valued; -compare requires exact
 	// equality.
@@ -454,7 +446,7 @@ var suite = []suiteDef{
 // packed and scalar component entries at a given size, so their
 // simulated bit-times are directly comparable (and must be equal).
 func benchGraph(n int) *orthotrees.Graph {
-	return orthotrees.NewRNG(uint64(7 + n)).Gnp(n, 2.0/float64(n))
+	return orthotrees.NewRNG(uint64(7+n)).Gnp(n, 2.0/float64(n))
 }
 
 // packedComponentsBench measures the machine-free bit-packed engine
@@ -495,102 +487,8 @@ func packedClosureBench(n int) func(b *testing.B, sim simMap) {
 	}
 }
 
-// batchDef is one batched suite entry: its single-instance host cost
-// is NsPerOp/lanes. The lane counts sweep the amortization curve the
-// throughput table reports.
-type batchDef struct {
-	name  string
-	lanes int
-	run   func(b *testing.B, sim simMap)
-}
-
-// batchLanes is the lane sweep of the throughput benchmarks.
-var batchLanes = []int{1, 4, 16, 64}
-
-// batchSuite pairs a TreeBroadcast-class workload (a full ParDo
-// broadcast sweep, timing-uniform so every lane rides the routers'
-// single-traversal fast path) with a Table1Sort-class workload (full
-// SORT-OTN, whose step-5 gather diverges per lane and is routed
-// honestly). Lane 0 of BatchSort runs the same seed-11 permutation as
-// the SortOTN entry, so its recorded bit-times must equal that
-// entry's — and must be identical across every lane count. Both
-// invariants are enforced exactly by -compare.
-var batchSuite = func() []batchDef {
-	var defs []batchDef
-	for _, lanes := range batchLanes {
-		defs = append(defs, batchDef{
-			name:  fmt.Sprintf("BatchBroadcast/K=64/B=%d", lanes),
-			lanes: lanes,
-			run:   batchBroadcastBench(lanes),
-		})
-	}
-	for _, lanes := range batchLanes {
-		defs = append(defs, batchDef{
-			name:  fmt.Sprintf("BatchSort/K=64/B=%d", lanes),
-			lanes: lanes,
-			run:   batchSortBench(lanes),
-		})
-	}
-	return defs
-}()
-
-func batchBroadcastBench(lanes int) func(b *testing.B, sim simMap) {
-	return func(b *testing.B, sim simMap) {
-		m, err := orthotrees.NewOTN(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bb, err := orthotrees.NewBatch(m, lanes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bb.SetRouteCompile(compileRoutes)
-		rels := make([]orthotrees.Time, lanes)
-		times := make([]orthotrees.Time, lanes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bb.Reset()
-			bb.ParDo(true, rels, func(vec orthotrees.Vector, r, d []orthotrees.Time) {
-				bb.RootToLeaf(vec, nil, "A", r, d)
-			}, times)
-		}
-		if err := bb.Err(); err != nil {
-			b.Fatal(err)
-		}
-		sim["broadcast-sweep/bit-times"] = float64(times[0])
-	}
-}
-
-func batchSortBench(lanes int) func(b *testing.B, sim simMap) {
-	return func(b *testing.B, sim simMap) {
-		m, err := orthotrees.NewOTN(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bb, err := orthotrees.NewBatch(m, lanes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bb.SetRouteCompile(compileRoutes)
-		problems := make([][]int64, lanes)
-		for p := range problems {
-			problems[p] = orthotrees.NewRNG(uint64(11 + p)).Perm(64)
-		}
-		var times []orthotrees.Time
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bb.Reset()
-			_, times = orthotrees.SortBatch(bb, problems)
-		}
-		if err := bb.Err(); err != nil {
-			b.Fatal(err)
-		}
-		sim["sort/bit-times"] = float64(times[0])
-	}
-}
-
 // measure runs one benchmark body under testing.Benchmark.
-func measure(name string, lanes int, run func(b *testing.B, sim simMap)) BenchResult {
+func measure(name string, run func(b *testing.B, sim simMap)) BenchResult {
 	sim := simMap{}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -602,15 +500,10 @@ func measure(name string, lanes int, run func(b *testing.B, sim simMap)) BenchRe
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-		Batch:       lanes,
 		Simulated:   sim,
 	}
-	extra := ""
-	if lanes > 1 {
-		extra = fmt.Sprintf("  (%d ns/instance)", res.NsPerOp/int64(lanes))
-	}
-	fmt.Fprintf(os.Stderr, "otbench: %-24s %12d ns/op %8d allocs/op %10d B/op%s\n",
-		name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, extra)
+	fmt.Fprintf(os.Stderr, "otbench: %-24s %12d ns/op %8d allocs/op %10d B/op\n",
+		name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 	return res
 }
 
@@ -624,10 +517,7 @@ func runSuite() BenchFile {
 		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	for _, def := range suite {
-		f.Benchmarks = append(f.Benchmarks, measure(def.name, 0, def.run))
-	}
-	for _, def := range batchSuite {
-		f.Benchmarks = append(f.Benchmarks, measure(def.name, def.lanes, def.run))
+		f.Benchmarks = append(f.Benchmarks, measure(def.name, def.run))
 	}
 	f.PeakRSSKB = peakRSSKB()
 	byName := map[string]BenchResult{}
@@ -669,45 +559,12 @@ func peakRSSKB() int64 {
 	return 0
 }
 
-// throughputMode runs only the batched benchmarks and prints the
-// amortization table: ns per instance and instances/sec versus the
-// lane count, with the speedup over the single-lane entry of the same
-// workload.
-func throughputMode() {
-	type row struct {
-		def batchDef
-		res BenchResult
-	}
-	var rows []row
-	for _, def := range batchSuite {
-		rows = append(rows, row{def, measure(def.name, def.lanes, def.run)})
-	}
-	perInst := func(r row) float64 { return float64(r.res.NsPerOp) / float64(r.def.lanes) }
-	base := map[string]float64{} // workload prefix -> B=1 ns/instance
-	for _, r := range rows {
-		if r.def.lanes == 1 {
-			base[strings.SplitN(r.def.name, "/B=", 2)[0]] = perInst(r)
-		}
-	}
-	fmt.Printf("%-28s %6s %14s %14s %16s %10s\n",
-		"benchmark", "B", "ns/op", "ns/instance", "instances/sec", "speedup")
-	for _, r := range rows {
-		pi := perInst(r)
-		speedup := math.NaN()
-		if b1, okay := base[strings.SplitN(r.def.name, "/B=", 2)[0]]; okay && pi > 0 {
-			speedup = b1 / pi
-		}
-		fmt.Printf("%-28s %6d %14d %14.0f %16.0f %9.2fx\n",
-			r.def.name, r.def.lanes, r.res.NsPerOp, pi, 1e9/pi, speedup)
-	}
-}
-
 // routeSuiteNames selects the suite entries whose host cost is
 // dominated by tree routing — the ones the compiled-schedule layer
 // accelerates. Table sweeps are excluded: they rebuild machines per
 // size, mixing construction cost into the measurement.
 var routeSuiteNames = map[string]bool{
-	"SortOTN/n=64":      true,
+	"SortOTN/n=64":       true,
 	"TreeBroadcast/K=64": true,
 	"TreeReduce/K=64":    true,
 	"TreeRoute/K=64":     true,
@@ -721,20 +578,10 @@ var routeSuiteNames = map[string]bool{
 // comparison. The simulated quantities of the two runs must agree
 // exactly; a mismatch is a correctness failure, not a perf delta.
 func routesMode() bool {
-	type entry struct {
-		name  string
-		lanes int
-		run   func(b *testing.B, sim simMap)
-	}
-	var entries []entry
+	var entries []suiteDef
 	for _, def := range suite {
 		if routeSuiteNames[def.name] {
-			entries = append(entries, entry{def.name, 0, def.run})
-		}
-	}
-	for _, def := range batchSuite {
-		if def.lanes == batchLanes[len(batchLanes)-1] {
-			entries = append(entries, entry{def.name, def.lanes, def.run})
+			entries = append(entries, def)
 		}
 	}
 	ok := true
@@ -742,9 +589,9 @@ func routesMode() bool {
 		"benchmark", "interp ns/op", "compiled ns/op", "speedup", "interp allocs", "comp allocs")
 	for _, e := range entries {
 		compileRoutes = false
-		interp := measure(e.name+"/interp", e.lanes, e.run)
+		interp := measure(e.name+"/interp", e.run)
 		compileRoutes = true
-		comp := measure(e.name+"/compiled", e.lanes, e.run)
+		comp := measure(e.name+"/compiled", e.run)
 		for k, want := range interp.Simulated {
 			if got, has := comp.Simulated[k]; !has || got != want {
 				fmt.Fprintf(os.Stderr, "FAIL %s: compiled simulated %q = %v, interpreted %v\n",

@@ -14,7 +14,7 @@ func TestClosureOTNMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := workload.NewRNG(seed*977 + uint64(n)).Gnp(n, 2.0/float64(n))
+			g := workload.NewRNG(seed*977+uint64(n)).Gnp(n, 2.0/float64(n))
 			LoadGraph(m, g)
 			got, elapsed := ClosureOTN(m, 0)
 			if err := m.Err(); err != nil {

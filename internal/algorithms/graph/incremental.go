@@ -65,8 +65,8 @@ func NewIncremental(m *core.Machine, g *workload.Graph, rel vlsi.Time) (*Increme
 	d, t := ConnectedComponents(m, rel)
 	return &Incremental{
 		m: m, g: gc, d: d,
-		work: append([]int64(nil), d...),
-		inS:  make([]bool, g.N),
+		work:      append([]int64(nil), d...),
+		inS:       make([]bool, g.N),
 		converged: true,
 	}, t
 }
@@ -84,8 +84,8 @@ func ResumeIncremental(m *core.Machine, g *workload.Graph, labels []int64) *Incr
 	d := append([]int64(nil), labels...)
 	return &Incremental{
 		m: m, g: gc, d: d,
-		work: append([]int64(nil), d...),
-		inS:  make([]bool, g.N),
+		work:      append([]int64(nil), d...),
+		inS:       make([]bool, g.N),
 		converged: true,
 	}
 }

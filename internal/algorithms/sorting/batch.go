@@ -7,81 +7,18 @@ import (
 	"repro/internal/vlsi"
 )
 
-// SortOTNBatch runs procedure SORT-OTN on every lane of a batched
-// machine at once: lane p sorts problems[p], all lanes sharing each
-// tree traversal of the five steps. Steps 1–4 are data-independent —
-// every lane issues the same routing schedule, so the batched routers
-// stay on their uniform fast path and the whole batch pays one timing
-// traversal per tree. Step 5's gather is data-dependent (column i
-// lifts the leaf holding rank i, a different leaf per lane), so the
-// routers materialize per-lane occupancy there and each lane's final
-// gather is routed honestly.
-//
-// Lane p's output and completion time are bit-identical to
-// SortOTN(m, problems[p], 0) on a dedicated, freshly Reset machine
-// (the batch determinism test pins this); only the host cost is
-// amortized.
+// SortOTNBatch runs SortOTN(m, problems[p], 0) for every problem of
+// the sequential adapter bb, each on the freshly Reset machine. Like
+// core.Batch, the bench module's replay reads it; the next benchmark
+// change deletes it.
 func SortOTNBatch(bb *core.Batch, problems [][]int64) ([][]int64, []vlsi.Time) {
-	k, b := bb.K(), bb.Lanes()
-	if len(problems) != b {
-		panic(fmt.Sprintf("sorting: %d problems on a %d-lane batch", len(problems), b))
+	if len(problems) != bb.Lanes() {
+		panic(fmt.Sprintf("sorting: %d problems on a %d-lane batch", len(problems), bb.Lanes()))
 	}
-	for p, xs := range problems {
-		if len(xs) != k {
-			panic(fmt.Sprintf("sorting: lane %d has %d inputs on a (%d×%d)-OTN", p, len(xs), k, k))
-		}
-		for i, x := range xs {
-			bb.SetRowRoot(p, i, x)
-		}
-	}
-	times := make([]vlsi.Time, b)
-
-	// Step 1: ROOTTOLEAF(row(i), dest=(all, A)) on every lane.
-	bb.ParDo(true, times, func(vec core.Vector, rels, dones []vlsi.Time) {
-		bb.RootToLeaf(vec, nil, core.RegA, rels, dones)
-	}, times)
-
-	// Step 2: LEAFTOLEAF(column(i), source=(i, A), dest=(all, B)).
-	bb.ParDo(false, times, func(vec core.Vector, rels, dones []vlsi.Time) {
-		bb.LeafToLeaf(vec, core.Lane(core.One(vec.Index)), core.RegA, nil, core.RegB, rels, dones)
-	}, times)
-
-	// Step 3 (modified for duplicates): flag = 1 iff A > B or
-	// (A = B and i > j), per lane.
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			for p := 0; p < b; p++ {
-				a, c := bb.Get(core.RegA, p, i, j), bb.Get(core.RegB, p, i, j)
-				var f int64
-				if a > c || (a == c && i > j) {
-					f = 1
-				}
-				bb.Set(core.RegFlag, p, i, j, f)
-			}
-		}
-	}
-	bb.Local(times, bb.CostCompare(), times)
-
-	// Step 4: COUNT-LEAFTOLEAF(row(i), dest=(all, R)).
-	bb.ParDo(true, times, func(vec core.Vector, rels, dones []vlsi.Time) {
-		bb.CountLeafToLeaf(vec, core.RegFlag, nil, core.RegR, rels, dones)
-	}, times)
-
-	// Step 5: LEAFTOROOT(column(i), source=(j : R(j,i) = i, A)) —
-	// the rank-i element per lane; the leaf differs per lane, which
-	// is the batch's divergence point.
-	bb.ParDo(false, times, func(vec core.Vector, rels, dones []vlsi.Time) {
-		i := vec.Index
-		sel := func(p, j int) bool { return bb.Get(core.RegR, p, j, i) == int64(i) }
-		bb.LeafToRoot(vec, sel, core.RegA, rels, dones)
-	}, times)
-
-	out := make([][]int64, b)
-	for p := range out {
-		out[p] = make([]int64, k)
-		for i := 0; i < k; i++ {
-			out[p][i] = bb.ColRoot(p, i)
-		}
-	}
+	out := make([][]int64, len(problems))
+	times := make([]vlsi.Time, len(problems))
+	bb.Each(func(p int, m *core.Machine) {
+		out[p], times[p] = SortOTN(m, problems[p], 0)
+	})
 	return out, times
 }

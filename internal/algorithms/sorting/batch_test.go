@@ -8,25 +8,23 @@ import (
 	"repro/internal/workload"
 )
 
-// The batched sorter's contract is bit-identity: batch-of-B equals B
-// sequential single-instance runs — outputs AND completion times —
-// for any mix of lane inputs, including the divergent step-5 gathers.
-// make race runs this under -race, so the host-parallel ParDo path is
-// exercised too.
+// The batch adapter's contract is bit-identity: batch-of-B equals B
+// runs on dedicated, freshly Reset machines — outputs AND completion
+// times — for any mix of lane inputs. The bench module's replay oracle
+// relies on it.
 func TestSortOTNBatchDeterministic(t *testing.T) {
 	for _, tc := range []struct{ k, b int }{
-		{4, 1}, {8, 4}, {16, 4}, {8, 16},
+		{4, 1}, {8, 4}, {16, 4}, {8, 16}, {16, 16},
 	} {
 		m := machine(t, tc.k)
 		bb, err := core.NewBatch(m, tc.b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb.SetHostWorkers(4)
 
 		problems := make([][]int64, tc.b)
 		for p := range problems {
-			problems[p] = workload.NewRNG(uint64(tc.k*1000+p)).Perm(tc.k)
+			problems[p] = workload.NewRNG(uint64(tc.k*1000 + p)).Perm(tc.k)
 		}
 		// Lane 1 (when present) gets duplicates so the modified step 3
 		// tie-break diverges per lane as well.
@@ -60,9 +58,8 @@ func TestSortOTNBatchDeterministic(t *testing.T) {
 	}
 }
 
-// Identical lanes must also agree with each other exactly — the
-// uniform fast path and the materialized path price the same
-// schedule.
+// Identical lanes must also agree with each other exactly: each
+// lane starts from the same Reset state.
 func TestSortOTNBatchUniformLanes(t *testing.T) {
 	const k, b = 8, 8
 	m := machine(t, k)

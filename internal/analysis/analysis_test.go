@@ -233,6 +233,17 @@ func TestPipelineExperiment(t *testing.T) {
 	if steady >= latency/2 {
 		t.Errorf("steady spacing %d not well below latency %d", steady, latency)
 	}
+
+	// The §VIII numbers EXPERIMENTS.md records and otbench prints: at
+	// N=64 one sort takes 350 bit-times, and a new sorted batch leaves
+	// every 13 once the pipeline is full.
+	latency, steady, err = PipelineExperiment(64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latency != 350 || steady != 13 {
+		t.Errorf("PipelineExperiment(64, 16) = latency %d, steady %d; want 350, 13", latency, steady)
+	}
 }
 
 func TestCycleLenFor(t *testing.T) {

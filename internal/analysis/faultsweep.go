@@ -61,7 +61,7 @@ func FaultSweepStudy(n, maxFaults int, seedIn uint64) (*FaultSweep, error) {
 	xs := workload.NewRNG(seedIn).Perm(n)
 	wantSorted := append([]int64(nil), xs...)
 	insertionSort(wantSorted)
-	g := workload.NewRNG(seedIn + 1).ComponentsGraph(n, 4)
+	g := workload.NewRNG(seedIn+1).ComponentsGraph(n, 4)
 	wantLabels := graph.RefComponents(g)
 
 	healthySort, err := timeSort(n, xs, nil)

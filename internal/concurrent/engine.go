@@ -563,4 +563,3 @@ func (e *Engine) PipelineReduce(ctx context.Context, vals [][]int64, rels []vlsi
 	}
 	return results, done, nil
 }
-

@@ -1,85 +1,19 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
+import "fmt"
 
-	"repro/internal/par"
-	"repro/internal/tree"
-	"repro/internal/vlsi"
-)
-
-// Batch executes B independent problem instances ("lanes") on one
-// simulated (K×K)-OTN topology in a single pass per primitive. The
-// simulated machine is unchanged — each lane's bit-times are exactly
-// the bit-times of a dedicated, freshly Reset Machine running that
-// lane's instance alone (the determinism tests pin this) — but the
-// host pays the tree traversals, selector sweeps and bookkeeping once
-// per batch instead of once per instance, which is where the
-// amortized ns/instance of cmd/otbench's throughput benchmarks comes
-// from.
-//
-// Register state is struct-of-arrays: each bank is one contiguous
-// []int64 of K·K·B words with BP(i,j) lane p at (i·K+j)·B+p, so a
-// vector sweep is a strided walk with the B lanes contiguous
-// innermost. Results are demultiplexed per lane through the
-// lane-indexed accessors.
+// Batch is a sequential adapter over one Machine: problem p of a
+// batch runs alone on the machine after a Reset, so its output and
+// bit-times are those of a dedicated, freshly Reset machine. The bench
+// module's replay reads it (like server.Job.Batchable); the next
+// benchmark change deletes it.
 type Batch struct {
-	m *Machine
-	b int
-
-	rows, cols []*tree.Batch
-
-	// regs is the batched analogue of Machine.regs: an atomic
-	// copy-on-write map of struct-of-arrays banks, lock-free on the
-	// read path so concurrent ParDo bodies never contend.
-	regs  atomic.Pointer[map[Reg][]int64]
-	regMu sync.Mutex
-
-	rowRoot, colRoot []int64 // K·B, tree i lane p at i·B+p
-
-	// vecDones holds ParDo's per-vector completion lanes (K·B).
-	vecDones []vlsi.Time
-
-	// scrPool recycles the per-operation lane scratch (selected-leaf
-	// and accumulator buffers); pooled so concurrent ParDo bodies each
-	// get their own.
-	scrPool sync.Pool
-
-	workers int
-
-	errMu sync.Mutex
-	err   error
+	m     *Machine
+	lanes int
 }
 
-// laneScratch is one primitive call's per-lane working set.
-type laneScratch struct {
-	leaves []int
-	words  []int64
-}
-
-// LaneSel selects positions of a vector per lane — the batched
-// analogue of Sel for the data-dependent primitives (LEAFTOROOT's
-// "Selector specifies one BP" may pick a different BP on every lane).
-// A nil LaneSel selects all positions on all lanes.
-type LaneSel func(p, k int) bool
-
-// Lane lifts a lane-independent selector to a LaneSel.
-func Lane(s Sel) LaneSel {
-	if s == nil {
-		return nil
-	}
-	return func(_, k int) bool { return s(k) }
-}
-
-// NewBatch builds a B-lane batched engine over m's topology. The
-// machine must be healthy (no fault plan, no sticky error — degraded
-// rerouting is inherently per-instance) and built over native tree
-// routers: the OTC emulation pipelines L logical vectors through one
-// shared physical tree, which is exactly the state one lane may not
-// share with another. m stays independently usable — the batch shares
-// only its immutable geometry and measured delay tables.
+// NewBatch wraps m for lanes problems. It refuses an empty batch, a
+// faulted machine and a machine with a sticky error.
 func NewBatch(m *Machine, lanes int) (*Batch, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("core: batch of %d lanes", lanes)
@@ -90,444 +24,21 @@ func NewBatch(m *Machine, lanes int) (*Batch, error) {
 	if err := m.Err(); err != nil {
 		return nil, fmt.Errorf("core: batching a machine with a sticky error: %w", err)
 	}
-	bb := &Batch{
-		m:        m,
-		b:        lanes,
-		rows:     make([]*tree.Batch, m.K),
-		cols:     make([]*tree.Batch, m.K),
-		rowRoot:  make([]int64, m.K*lanes),
-		colRoot:  make([]int64, m.K*lanes),
-		vecDones: make([]vlsi.Time, m.K*lanes),
-	}
-	for i := 0; i < m.K; i++ {
-		rt, ok := m.rows[i].(*tree.Tree)
-		ct, ok2 := m.cols[i].(*tree.Tree)
-		if !ok || !ok2 {
-			return nil, fmt.Errorf("core: batching requires native tree routers (OTN)")
-		}
-		var err error
-		if bb.rows[i], err = rt.NewBatch(lanes); err != nil {
-			return nil, err
-		}
-		if bb.cols[i], err = ct.NewBatch(lanes); err != nil {
-			return nil, err
-		}
-	}
-	empty := make(map[Reg][]int64)
-	bb.regs.Store(&empty)
-	bb.scrPool.New = func() any {
-		return &laneScratch{leaves: make([]int, lanes), words: make([]int64, lanes)}
-	}
-	return bb, nil
+	return &Batch{m: m, lanes: lanes}, nil
 }
 
-// Template returns the machine whose topology the batch executes on.
-func (bb *Batch) Template() *Machine { return bb.m }
+// Lanes returns the number of problems in the batch.
+func (bb *Batch) Lanes() int { return bb.lanes }
 
-// K returns the side of the base.
-func (bb *Batch) K() int { return bb.m.K }
-
-// Lanes returns the batch width B.
-func (bb *Batch) Lanes() int { return bb.b }
-
-// CostCompare is the bit cost of one word comparison or addition.
-func (bb *Batch) CostCompare() int { return bb.m.CostCompare() }
-
-// CostMul is the bit cost of one word multiplication.
-func (bb *Batch) CostMul() int { return bb.m.CostMul() }
-
-// SetHostWorkers bounds the host worker pool like
-// Machine.SetHostWorkers; simulated times are identical either way.
-func (bb *Batch) SetHostWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	bb.workers = n
-}
-
-func (bb *Batch) hostWorkers() int {
-	if bb.workers > 0 {
-		return bb.workers
-	}
-	return par.DefaultWorkers()
-}
-
-// Reset clears all routing/pipeline state on every lane (not register
-// contents), as between independent batches.
-func (bb *Batch) Reset() {
-	for i := range bb.rows {
-		bb.rows[i].Reset()
-		bb.cols[i].Reset()
+// Each calls f for every problem in order, resetting the machine
+// before each call.
+func (bb *Batch) Each(f func(p int, m *Machine)) {
+	for p := 0; p < bb.lanes; p++ {
+		bb.m.Reset()
+		f(p, bb.m)
 	}
 }
 
-// SetRouteCompile enables or disables compiled routing schedules on
-// every lane router (see Machine.SetRouteCompile); simulated times
-// are identical either way.
-func (bb *Batch) SetRouteCompile(on bool) {
-	for i := range bb.rows {
-		bb.rows[i].SetCompile(on)
-		bb.cols[i].SetCompile(on)
-	}
-}
-
-// fail records the batch's sticky error, first error wins (mirrors
-// Machine.fail; parallel ParDo bodies may fail concurrently).
-func (bb *Batch) fail(err error) {
-	bb.errMu.Lock()
-	defer bb.errMu.Unlock()
-	if bb.err == nil {
-		bb.err = err
-	}
-}
-
-// Err returns the first misuse recorded since construction, or nil.
-func (bb *Batch) Err() error {
-	bb.errMu.Lock()
-	defer bb.errMu.Unlock()
-	return bb.err
-}
-
-// bank returns (allocating if needed) the batched storage of a
-// register; the fast path is one atomic load.
-func (bb *Batch) bank(r Reg) []int64 {
-	if b, ok := (*bb.regs.Load())[r]; ok {
-		return b
-	}
-	return bb.growBank(r)
-}
-
-func (bb *Batch) growBank(r Reg) []int64 {
-	bb.regMu.Lock()
-	defer bb.regMu.Unlock()
-	cur := *bb.regs.Load()
-	if b, ok := cur[r]; ok {
-		return b
-	}
-	next := make(map[Reg][]int64, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	b := make([]int64, bb.m.K*bb.m.K*bb.b)
-	next[r] = b
-	bb.regs.Store(&next)
-	return b
-}
-
-// Get reads register r of BP(i,j) on lane p.
-func (bb *Batch) Get(r Reg, p, i, j int) int64 {
-	return bb.bank(r)[(i*bb.m.K+j)*bb.b+p]
-}
-
-// Set writes register r of BP(i,j) on lane p.
-func (bb *Batch) Set(r Reg, p, i, j int, v int64) {
-	bb.bank(r)[(i*bb.m.K+j)*bb.b+p] = v
-}
-
-// base returns the bank offset of position k of a vector (lane 0);
-// lane p's word sits at base+p.
-func (bb *Batch) base(vec Vector, k int) int {
-	if vec.IsRow {
-		return (vec.Index*bb.m.K + k) * bb.b
-	}
-	return (k*bb.m.K + vec.Index) * bb.b
-}
-
-// RowRoot reads the data register of row tree i on lane p.
-func (bb *Batch) RowRoot(p, i int) int64 { return bb.rowRoot[i*bb.b+p] }
-
-// SetRowRoot writes the data register of row tree i on lane p.
-func (bb *Batch) SetRowRoot(p, i int, v int64) { bb.rowRoot[i*bb.b+p] = v }
-
-// ColRoot reads the data register of column tree j on lane p.
-func (bb *Batch) ColRoot(p, j int) int64 { return bb.colRoot[j*bb.b+p] }
-
-// SetColRoot writes the data register of column tree j on lane p.
-func (bb *Batch) SetColRoot(p, j int, v int64) { bb.colRoot[j*bb.b+p] = v }
-
-// roots returns the B-lane data registers of the vector's tree.
-func (bb *Batch) roots(vec Vector) []int64 {
-	i := vec.Index * bb.b
-	if vec.IsRow {
-		return bb.rowRoot[i : i+bb.b]
-	}
-	return bb.colRoot[i : i+bb.b]
-}
-
-// router returns the batched router of a vector.
-func (bb *Batch) router(vec Vector) *tree.Batch {
-	if vec.IsRow {
-		return bb.rows[vec.Index]
-	}
-	return bb.cols[vec.Index]
-}
-
-func (bb *Batch) checkLanes(op string, rels, dones []vlsi.Time) {
-	if len(rels) != bb.b || len(dones) != bb.b {
-		panic(fmt.Sprintf("core: %s with %d/%d lane times, want %d", op, len(rels), len(dones), bb.b))
-	}
-}
-
-// RootToLeaf broadcasts each lane's root data register into register
-// dst of the BPs selected by sel (primitive 1 of Section II-B, on all
-// lanes at once). rels[p]/dones[p] are lane p's release/completion;
-// rels and dones may alias.
-func (bb *Batch) RootToLeaf(vec Vector, sel Sel, dst Reg, rels, dones []vlsi.Time) {
-	bb.checkLanes("ROOTTOLEAF", rels, dones)
-	if err := bb.m.checkVec("ROOTTOLEAF", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	bank := bb.bank(dst)
-	roots := bb.roots(vec)
-	for k := 0; k < bb.m.K; k++ {
-		if sel == nil || sel(k) {
-			copy(bank[bb.base(vec, k):bb.base(vec, k)+bb.b], roots)
-		}
-	}
-	bb.router(vec).Broadcast(rels, dones)
-}
-
-// LeafToRoot sends register src of the single BP each lane's selector
-// picks to that lane's root data register (primitive 2). The selector
-// is per-lane: SORT-OTN's final gather picks a different leaf on
-// every lane. A lane whose selector does not pick exactly one BP
-// records a *SelectorError and passes its release time through
-// unchanged, like the single-instance primitive.
-func (bb *Batch) LeafToRoot(vec Vector, sel LaneSel, src Reg, rels, dones []vlsi.Time) {
-	bb.checkLanes("LEAFTOROOT", rels, dones)
-	if err := bb.m.checkVec("LEAFTOROOT", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	scr := bb.scrPool.Get().(*laneScratch)
-	defer bb.scrPool.Put(scr)
-	leaves := scr.leaves
-	for p := 0; p < bb.b; p++ {
-		leaf, n := -1, 0
-		for k := 0; k < bb.m.K; k++ {
-			if sel == nil || sel(p, k) {
-				leaf = k
-				n++
-			}
-		}
-		if n != 1 {
-			bb.fail(&SelectorError{Op: "LEAFTOROOT", Vec: vec, Selected: n})
-			leaves[p] = -1
-			continue
-		}
-		leaves[p] = leaf
-	}
-	bank := bb.bank(src)
-	roots := bb.roots(vec)
-	for p, leaf := range leaves {
-		if leaf >= 0 {
-			roots[p] = bank[bb.base(vec, leaf)+p]
-		}
-	}
-	bb.router(vec).Gather(leaves, rels, dones)
-}
-
-// CountLeafToRoot counts each lane's BPs whose flag register holds 1
-// and leaves the count in that lane's root data register
-// (primitive 3).
-func (bb *Batch) CountLeafToRoot(vec Vector, flag Reg, rels, dones []vlsi.Time) {
-	bb.checkLanes("COUNT-LEAFTOROOT", rels, dones)
-	if err := bb.m.checkVec("COUNT-LEAFTOROOT", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	scr := bb.scrPool.Get().(*laneScratch)
-	defer bb.scrPool.Put(scr)
-	cnt := scr.words
-	for p := range cnt {
-		cnt[p] = 0
-	}
-	bank := bb.bank(flag)
-	for k := 0; k < bb.m.K; k++ {
-		base := bb.base(vec, k)
-		for p := 0; p < bb.b; p++ {
-			if bank[base+p] == 1 {
-				cnt[p]++
-			}
-		}
-	}
-	copy(bb.roots(vec), cnt)
-	bb.router(vec).ReduceUniform(rels, dones)
-}
-
-// SumLeafToRoot adds register src over the selected BPs per lane
-// (primitive 4).
-func (bb *Batch) SumLeafToRoot(vec Vector, sel Sel, src Reg, rels, dones []vlsi.Time) {
-	bb.checkLanes("SUM-LEAFTOROOT", rels, dones)
-	if err := bb.m.checkVec("SUM-LEAFTOROOT", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	scr := bb.scrPool.Get().(*laneScratch)
-	defer bb.scrPool.Put(scr)
-	sum := scr.words
-	for p := range sum {
-		sum[p] = 0
-	}
-	bank := bb.bank(src)
-	for k := 0; k < bb.m.K; k++ {
-		if sel != nil && !sel(k) {
-			continue
-		}
-		base := bb.base(vec, k)
-		for p := 0; p < bb.b; p++ {
-			sum[p] += bank[base+p]
-		}
-	}
-	copy(bb.roots(vec), sum)
-	bb.router(vec).ReduceUniform(rels, dones)
-}
-
-// MinLeafToRoot extracts the per-lane minimum of register src over
-// the selected BPs, ignoring Null entries (the MIN ascent).
-func (bb *Batch) MinLeafToRoot(vec Vector, sel Sel, src Reg, rels, dones []vlsi.Time) {
-	bb.checkLanes("MIN-LEAFTOROOT", rels, dones)
-	if err := bb.m.checkVec("MIN-LEAFTOROOT", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	scr := bb.scrPool.Get().(*laneScratch)
-	defer bb.scrPool.Put(scr)
-	min := scr.words
-	for p := range min {
-		min[p] = Null
-	}
-	bank := bb.bank(src)
-	for k := 0; k < bb.m.K; k++ {
-		if sel != nil && !sel(k) {
-			continue
-		}
-		base := bb.base(vec, k)
-		for p := 0; p < bb.b; p++ {
-			v := bank[base+p]
-			if v == Null {
-				continue
-			}
-			if min[p] == Null || v < min[p] {
-				min[p] = v
-			}
-		}
-	}
-	copy(bb.roots(vec), min)
-	bb.router(vec).ReduceUniform(rels, dones)
-}
-
-// LeafToLeaf is composite operation 1: LEAFTOROOT from each lane's
-// source BP, then ROOTTOLEAF to the selected destinations.
-func (bb *Batch) LeafToLeaf(vec Vector, srcSel LaneSel, src Reg, dstSel Sel, dst Reg, rels, dones []vlsi.Time) {
-	bb.LeafToRoot(vec, srcSel, src, rels, dones)
-	bb.RootToLeaf(vec, dstSel, dst, dones, dones)
-}
-
-// CountLeafToLeaf is composite operation 2: the per-lane flag count
-// is computed at the root and broadcast into dst of the selected BPs.
-func (bb *Batch) CountLeafToLeaf(vec Vector, flag Reg, dstSel Sel, dst Reg, rels, dones []vlsi.Time) {
-	bb.CountLeafToRoot(vec, flag, rels, dones)
-	bb.RootToLeaf(vec, dstSel, dst, dones, dones)
-}
-
-// SumLeafToLeaf is composite operation 3.
-func (bb *Batch) SumLeafToLeaf(vec Vector, srcSel Sel, src Reg, dstSel Sel, dst Reg, rels, dones []vlsi.Time) {
-	bb.SumLeafToRoot(vec, srcSel, src, rels, dones)
-	bb.RootToLeaf(vec, dstSel, dst, dones, dones)
-}
-
-// MinLeafToLeaf is the MIN composite.
-func (bb *Batch) MinLeafToLeaf(vec Vector, srcSel Sel, src Reg, dstSel Sel, dst Reg, rels, dones []vlsi.Time) {
-	bb.MinLeafToRoot(vec, srcSel, src, rels, dones)
-	bb.RootToLeaf(vec, dstSel, dst, dones, dones)
-}
-
-// CompareExchange is the COMPEX step on every lane: per-lane data
-// exchange and compare, one shared timing schedule per lane through
-// the batched router.
-func (bb *Batch) CompareExchange(vec Vector, stride int, reg Reg, asc func(k int) bool, rels, dones []vlsi.Time) {
-	bb.checkLanes("COMPEX", rels, dones)
-	if err := bb.m.checkVec("COMPEX", vec); err != nil {
-		bb.fail(err)
-		copy(dones, rels)
-		return
-	}
-	if !vlsi.IsPow2(stride) || stride >= bb.m.K {
-		bb.fail(&MisuseError{Op: "COMPEX", Reason: fmt.Sprintf("stride %d invalid for K=%d", stride, bb.m.K)})
-		copy(dones, rels)
-		return
-	}
-	bank := bb.bank(reg)
-	for k := 0; k < bb.m.K; k++ {
-		if k&stride != 0 {
-			continue
-		}
-		up := asc == nil || asc(k)
-		lo, hi := bb.base(vec, k), bb.base(vec, k+stride)
-		for p := 0; p < bb.b; p++ {
-			a, c := bank[lo+p], bank[hi+p]
-			if (up && a > c) || (!up && a < c) {
-				bank[lo+p], bank[hi+p] = c, a
-			}
-		}
-	}
-	bb.router(vec).ExchangePairs(stride, rels, dones)
-	bb.Local(dones, bb.CostCompare(), dones)
-}
-
-// Local charges one bit-serial local step on every lane. rels and
-// dones may alias.
-func (bb *Batch) Local(rels []vlsi.Time, costBits int, dones []vlsi.Time) {
-	bb.checkLanes("Local", rels, dones)
-	if costBits < 0 {
-		bb.fail(&MisuseError{Op: "Local", Reason: "negative local cost"})
-		copy(dones, rels)
-		return
-	}
-	for p := range dones {
-		dones[p] = rels[p] + vlsi.Time(costBits)
-	}
-}
-
-// ParDo runs f on every row (or column) with per-lane release times
-// rels and max-reduces the per-vector completions into dones — the
-// paper's pardo, batched. f receives a dones slice to fill for its
-// vector; bodies run across the host worker pool (each touches only
-// its own vector's router, bank stripe and root lanes, so the replay
-// is race-free and bit-identical to the sequential order — the same
-// argument as Machine.ParDo, per lane). rels and dones may alias; f
-// must not retain its slices.
-func (bb *Batch) ParDo(rows bool, rels []vlsi.Time, f func(vec Vector, rels, dones []vlsi.Time), dones []vlsi.Time) {
-	bb.checkLanes("ParDo", rels, dones)
-	k, b := bb.m.K, bb.b
-	body := func(i int) {
-		vec := Col(i)
-		if rows {
-			vec = Row(i)
-		}
-		f(vec, rels, bb.vecDones[i*b:(i+1)*b])
-	}
-	if w := bb.hostWorkers(); w > 1 && k >= parDoMinK {
-		par.Do(k, w, body)
-	} else {
-		for i := 0; i < k; i++ {
-			body(i)
-		}
-	}
-	for p := 0; p < b; p++ {
-		done := rels[p]
-		for i := 0; i < k; i++ {
-			if t := bb.vecDones[i*b+p]; t > done {
-				done = t
-			}
-		}
-		dones[p] = done
-	}
-}
+// Err returns the machine's sticky error: the first failure of any
+// problem run so far.
+func (bb *Batch) Err() error { return bb.m.Err() }

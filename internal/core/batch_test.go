@@ -1,218 +1,21 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/vlsi"
 )
 
-// newBatchPair builds a B-lane batch over a fresh machine plus one
-// dedicated single-instance reference machine per lane; the batch
-// must match each reference bit-for-bit, registers and times alike.
-func newBatchPair(t *testing.T, k, b int) (*Batch, []*Machine) {
-	t.Helper()
-	m, err := NewDefault(k, k*k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := NewBatch(m, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*Machine, b)
-	for p := range refs {
-		if refs[p], err = NewDefault(k, k*k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return bb, refs
-}
-
-// Every batched primitive must reproduce, lane by lane, the dedicated
-// single-instance machine running the same program: same completion
-// times, same registers, same roots — including after the
-// data-dependent divergence of a per-lane LEAFTOROOT.
-func TestBatchPrimitivesMatchSequential(t *testing.T) {
-	const k, b = 16, 4
-	bb, refs := newBatchPair(t, k, b)
-	row, col := Row(3), Col(5)
-
-	// Distinct per-lane inputs.
-	for p, ref := range refs {
-		for i := 0; i < k; i++ {
-			v := int64((p+1)*100 + i*7%13)
-			ref.SetRowRoot(i, v)
-			bb.SetRowRoot(p, i, v)
-		}
-	}
-
-	rels := make([]vlsi.Time, b)
-	dones := make([]vlsi.Time, b)
-	want := make([]vlsi.Time, b)
-	checkTimes := func(op string) {
-		t.Helper()
-		for p := range want {
-			if dones[p] != want[p] {
-				t.Fatalf("%s: lane %d done %d, want %d", op, p, dones[p], want[p])
-			}
-		}
-	}
-	checkReg := func(op string, r Reg) {
-		t.Helper()
-		for p, ref := range refs {
-			for i := 0; i < k; i++ {
-				for j := 0; j < k; j++ {
-					if got, w := bb.Get(r, p, i, j), ref.Get(r, i, j); got != w {
-						t.Fatalf("%s: lane %d %s[%d,%d] = %d, want %d", op, p, r, i, j, got, w)
-					}
-				}
-			}
-		}
-	}
-
-	bb.RootToLeaf(row, nil, RegA, rels, dones)
-	for p, ref := range refs {
-		want[p] = ref.RootToLeaf(row, nil, RegA, 0)
-	}
-	checkTimes("RootToLeaf")
-	checkReg("RootToLeaf", RegA)
-
-	bb.LeafToLeaf(col, Lane(One(3)), RegA, Even, RegB, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.LeafToLeaf(col, One(3), RegA, Even, RegB, want[p])
-	}
-	checkTimes("LeafToLeaf")
-	checkReg("LeafToLeaf", RegB)
-
-	// Per-lane flags, then the counting composite.
-	for p := range refs {
-		for j := 0; j < k; j++ {
-			var f int64
-			if (j+p)%3 == 0 {
-				f = 1
-			}
-			refs[p].Set(RegFlag, 3, j, f)
-			bb.Set(RegFlag, p, 3, j, f)
-		}
-	}
-	bb.CountLeafToLeaf(row, RegFlag, nil, RegR, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.CountLeafToLeaf(row, RegFlag, nil, RegR, want[p])
-	}
-	checkTimes("CountLeafToLeaf")
-	checkReg("CountLeafToLeaf", RegR)
-
-	bb.SumLeafToRoot(row, Range(2, 9), RegA, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.SumLeafToRoot(row, Range(2, 9), RegA, want[p])
-	}
-	checkTimes("SumLeafToRoot")
-
-	bb.MinLeafToRoot(col, nil, RegB, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.MinLeafToRoot(col, nil, RegB, want[p])
-	}
-	checkTimes("MinLeafToRoot")
-
-	bb.CompareExchange(row, 4, RegA, nil, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.CompareExchange(row, 4, RegA, nil, want[p])
-	}
-	checkTimes("CompareExchange")
-	checkReg("CompareExchange", RegA)
-
-	// Data-dependent divergence: each lane lifts a different leaf.
-	bb.LeafToRoot(row, func(p, j int) bool { return j == (p*3)%k }, RegA, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.LeafToRoot(row, One((p*3)%k), RegA, want[p])
-	}
-	checkTimes("LeafToRoot(divergent)")
-	for p, ref := range refs {
-		if got, w := bb.RowRoot(p, 3), ref.RowRoot(3); got != w {
-			t.Fatalf("LeafToRoot: lane %d row root %d, want %d", p, got, w)
-		}
-	}
-
-	// Post-divergence uniform op still matches per lane.
-	bb.RootToLeaf(row, nil, RegC, dones, dones)
-	for p, ref := range refs {
-		want[p] = ref.RootToLeaf(row, nil, RegC, want[p])
-	}
-	checkTimes("RootToLeaf(post-divergence)")
-	checkReg("RootToLeaf(post-divergence)", RegC)
-
-	if err := bb.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A batched ParDo sweep must equal the per-lane sequential sweep:
-// per-lane max over vectors, bit-identical under any worker count.
-func TestBatchParDoMatchesSequential(t *testing.T) {
-	const k, b = 16, 3
-	bb, refs := newBatchPair(t, k, b)
-	for p, ref := range refs {
-		for i := 0; i < k; i++ {
-			v := int64(p*31 + i)
-			ref.SetRowRoot(i, v)
-			bb.SetRowRoot(p, i, v)
-		}
-	}
-	rels := make([]vlsi.Time, b)
-	dones := make([]vlsi.Time, b)
-	for _, workers := range []int{1, 4} {
-		bb.Reset()
-		bb.SetHostWorkers(workers)
-		for p := range rels {
-			rels[p] = vlsi.Time(p) // divergent releases
-		}
-		bb.ParDo(true, rels, func(vec Vector, rels, dones []vlsi.Time) {
-			bb.RootToLeaf(vec, nil, RegA, rels, dones)
-		}, dones)
-		for p, ref := range refs {
-			ref.Reset()
-			ref.SetHostWorkers(1)
-			want := ref.ParDo(true, vlsi.Time(p), func(vec Vector, rel vlsi.Time) vlsi.Time {
-				return ref.RootToLeaf(vec, nil, RegA, rel)
-			})
-			if dones[p] != want {
-				t.Fatalf("workers=%d: lane %d done %d, want %d", workers, p, dones[p], want)
-			}
-		}
-	}
-	if err := bb.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A lane whose selector misfires records the sticky *SelectorError
-// and passes its release through; the other lanes proceed normally.
-func TestBatchSelectorErrorPerLane(t *testing.T) {
-	const k, b = 8, 3
-	bb, refs := newBatchPair(t, k, b)
-	rels := []vlsi.Time{5, 5, 5}
-	dones := make([]vlsi.Time, b)
-	// Lane 1 selects two BPs; lanes 0 and 2 select one.
-	sel := func(p, j int) bool { return j == 2 || (p == 1 && j == 4) }
-	bb.LeafToRoot(Row(0), sel, RegA, rels, dones)
-	if _, ok := bb.Err().(*SelectorError); !ok {
-		t.Fatalf("Err = %v, want *SelectorError", bb.Err())
-	}
-	if dones[1] != rels[1] {
-		t.Fatalf("failed lane done %d, want release %d", dones[1], rels[1])
-	}
-	want := refs[0].LeafToRoot(Row(0), One(2), RegA, 5)
-	if dones[0] != want || dones[2] != want {
-		t.Fatalf("healthy lanes done %d/%d, want %d", dones[0], dones[2], want)
-	}
-}
-
-// Batching refuses unhealthy machines.
+// Batching refuses unhealthy machines: an empty batch, a faulted
+// machine and a machine carrying a sticky error.
 func TestBatchRefusesFaultyMachine(t *testing.T) {
 	m, err := NewDefault(8, 64)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := NewBatch(m, 0); err == nil {
+		t.Fatal("NewBatch accepted zero lanes")
 	}
 	if err := m.InjectFaults(fault.New(1).KillEdge(true, 0, 9)); err != nil {
 		t.Fatal(err)
@@ -224,40 +27,13 @@ func TestBatchRefusesFaultyMachine(t *testing.T) {
 	if _, err := NewBatch(m, 2); err != nil {
 		t.Fatalf("NewBatch on recycled machine: %v", err)
 	}
-}
 
-// Steady-state batched primitives stay allocation-free (modulo the
-// pooled lane scratch, which repopulates only occasionally), so batch
-// throughput scales with lane count, not GC pressure.
-func TestBatchPrimitivesAllocationFree(t *testing.T) {
-	const k, b = 64, 8
-	m, err := NewDefault(k, k*k)
-	if err != nil {
-		t.Fatal(err)
+	m.LeafToRoot(Row(0), nil, RegA, 0) // selects every BP: sticky error
+	var se *SelectorError
+	if !errors.As(m.Err(), &se) {
+		t.Fatalf("Err = %v, want *SelectorError", m.Err())
 	}
-	bb, err := NewBatch(m, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb.SetHostWorkers(1)
-	rels := make([]vlsi.Time, b)
-	dones := make([]vlsi.Time, b)
-	sel := Lane(One(5))
-	for p := 0; p < b; p++ {
-		bb.Set(RegA, p, 0, 5, 42)
-	}
-	// Touch the banks once so they exist before measuring.
-	bb.LeafToLeaf(Row(0), sel, RegA, All, RegB, rels, dones)
-	bb.CountLeafToLeaf(Row(0), RegFlag, nil, RegR, rels, dones)
-	if err := bb.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	requireAllocs(t, "RootToLeaf(batch)", 0, func() { bb.Reset(); bb.RootToLeaf(Row(0), nil, RegA, rels, dones) })
-	requireAllocs(t, "LeafToRoot(batch)", 1, func() { bb.Reset(); bb.LeafToRoot(Row(0), sel, RegA, rels, dones) })
-	requireAllocs(t, "CountLeafToLeaf(batch)", 1, func() { bb.Reset(); bb.CountLeafToLeaf(Row(0), RegFlag, nil, RegR, rels, dones) })
-	requireAllocs(t, "CompareExchange(batch)", 0, func() { bb.Reset(); bb.CompareExchange(Row(0), 8, RegA, nil, rels, dones) })
-	if err := bb.Err(); err != nil {
-		t.Fatal(err)
+	if _, err := NewBatch(m, 2); !errors.As(err, &se) {
+		t.Fatalf("NewBatch on a sticky error = %v, want the *SelectorError", err)
 	}
 }

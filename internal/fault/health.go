@@ -87,10 +87,10 @@ func (h *Health) CutFailures(keep int) int {
 }
 
 // Merge folds another ledger into h: counters and latencies add,
-// failure lists concatenate in call order. Batched lanes and
-// supervised replicas each record into a private ledger and merge in
-// lane order afterwards, which keeps the combined ledger deterministic
-// without sharing memory across goroutines.
+// failure lists concatenate in call order. Supervised replicas each
+// record into a private ledger and merge in order afterwards, which
+// keeps the combined ledger deterministic without sharing memory
+// across goroutines.
 func (h *Health) Merge(o *Health) {
 	if h == nil || o == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/mcache"
-	"repro/internal/par"
 	"repro/internal/vlsi"
 )
 
@@ -33,6 +32,3 @@ func EngineFor(k int, cfg vlsi.Config, scaled bool) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// forEachLane spreads independent batch lanes across host workers.
-func forEachLane(n int, f func(p int)) { par.Do(n, 0, f) }

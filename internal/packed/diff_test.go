@@ -36,7 +36,7 @@ func TestComponentsMatchesScalar(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		for _, scaled := range []bool{false, true} {
 			for _, density := range []float64{0, 2.0 / float64(n), 0.5, 1} {
-				g := workload.NewRNG(uint64(n)*31 + uint64(density*100)).Gnp(n, density)
+				g := workload.NewRNG(uint64(n)*31+uint64(density*100)).Gnp(n, density)
 				m := newMachine(t, n, scaled)
 				graph.LoadGraph(m, g)
 				wantLabels, wantT := graph.ConnectedComponents(m, 0)
@@ -84,7 +84,7 @@ func TestComponentsMatchesScalar(t *testing.T) {
 func TestClosureMatchesScalar(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		for _, scaled := range []bool{false, true} {
-			g := workload.NewRNG(uint64(n) * 977).Gnp(n, 2.0/float64(n))
+			g := workload.NewRNG(uint64(n)*977).Gnp(n, 2.0/float64(n))
 			m := newMachine(t, n, scaled)
 			graph.LoadGraph(m, g)
 			wantR, wantT := graph.ClosureOTN(m, 0)
@@ -154,35 +154,6 @@ func TestFaultyFallsBackToScalar(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m.Health(), ref.Health()) {
 			t.Fatalf("seed=%d: fallback health %+v, scalar %+v", seed, m.Health(), ref.Health())
-		}
-	}
-}
-
-// TestComponentsBatchMatchesSolo pins that packed batch lanes are
-// bit-identical to dedicated runs.
-func TestComponentsBatchMatchesSolo(t *testing.T) {
-	const n = 32
-	cfg := vlsi.Config{WordBits: vlsi.WordBitsFor(n * n), Model: vlsi.LogDelay{}}
-	e, err := EngineFor(n, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := make([]*workload.Graph, 9)
-	for p := range gs {
-		gs[p] = workload.NewRNG(uint64(p) + 5).Gnp(n, 3.0/float64(n))
-	}
-	labels, times := e.ComponentsBatch(gs, 7)
-	for p, g := range gs {
-		soloL, soloT := e.Components(g, 7)
-		if times[p] != soloT || !reflect.DeepEqual(labels[p], soloL) {
-			t.Fatalf("lane %d diverged from solo run", p)
-		}
-	}
-	rs, ctimes := e.ClosureBatch(gs[:4], 3)
-	for p := range rs {
-		soloR, soloT := e.Closure(gs[p], 3)
-		if ctimes[p] != soloT || !soloR.Equal(rs[p]) {
-			t.Fatalf("closure lane %d diverged from solo run", p)
 		}
 	}
 }

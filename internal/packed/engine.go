@@ -267,26 +267,3 @@ func (e *Engine) closureFrom(adj *bits.Matrix, rel vlsi.Time) (*bits.Matrix, vls
 	}
 	return r, t
 }
-
-// ComponentsBatch runs B independent component labelings as packed
-// lanes: one engine, B adjacency matrices, host-parallel across
-// lanes. Each lane's labels and completion time are identical to a
-// dedicated Components call — lanes share only immutable tables.
-func (e *Engine) ComponentsBatch(gs []*workload.Graph, rel vlsi.Time) ([][]int64, []vlsi.Time) {
-	labels := make([][]int64, len(gs))
-	times := make([]vlsi.Time, len(gs))
-	forEachLane(len(gs), func(p int) {
-		labels[p], times[p] = e.Components(gs[p], rel)
-	})
-	return labels, times
-}
-
-// ClosureBatch is ComponentsBatch for transitive closures.
-func (e *Engine) ClosureBatch(gs []*workload.Graph, rel vlsi.Time) ([]*bits.Matrix, []vlsi.Time) {
-	rs := make([]*bits.Matrix, len(gs))
-	times := make([]vlsi.Time, len(gs))
-	forEachLane(len(gs), func(p int) {
-		rs[p], times[p] = e.Closure(gs[p], rel)
-	})
-	return rs, times
-}

@@ -58,11 +58,11 @@ func NewIncremental(e *Engine, g *workload.Graph, rel vlsi.Time) (*Incremental, 
 	n := e.K
 	return &Incremental{
 		e: e, adj: adj, d: d,
-		work:  append([]int64(nil), d...),
-		inS:   make([]bool, n),
-		smask: make([]uint64, bits.Words(n)),
-		hook:  make([]int64, n),
-		prev:  make([]int64, n),
+		work:      append([]int64(nil), d...),
+		inS:       make([]bool, n),
+		smask:     make([]uint64, bits.Words(n)),
+		hook:      make([]int64, n),
+		prev:      make([]int64, n),
 		converged: true,
 	}, t
 }
@@ -79,11 +79,11 @@ func ResumeIncremental(e *Engine, g *workload.Graph, labels []int64) *Incrementa
 	d := append([]int64(nil), labels...)
 	return &Incremental{
 		e: e, adj: PackGraph(g), d: d,
-		work:  append([]int64(nil), d...),
-		inS:   make([]bool, n),
-		smask: make([]uint64, bits.Words(n)),
-		hook:  make([]int64, n),
-		prev:  make([]int64, n),
+		work:      append([]int64(nil), d...),
+		inS:       make([]bool, n),
+		smask:     make([]uint64, bits.Words(n)),
+		hook:      make([]int64, n),
+		prev:      make([]int64, n),
 		converged: true,
 	}
 }

@@ -52,11 +52,11 @@ func TestSessionStateRejectsDamage(t *testing.T) {
 	fresh := func() *resilience.SessionState { return resilience.CaptureSession(g, labels) }
 
 	cases := map[string]func(*resilience.SessionState){
-		"short adj":   func(s *resilience.SessionState) { s.Adj = s.Adj[:4] },
-		"bad base64":  func(s *resilience.SessionState) { s.Adj[2] = "!!!" },
-		"short row":   func(s *resilience.SessionState) { s.Adj[2] = "" },
-		"bad labels":  func(s *resilience.SessionState) { s.Labels = s.Labels[:3] },
-		"zero n":      func(s *resilience.SessionState) { s.N = 0 },
+		"short adj":  func(s *resilience.SessionState) { s.Adj = s.Adj[:4] },
+		"bad base64": func(s *resilience.SessionState) { s.Adj[2] = "!!!" },
+		"short row":  func(s *resilience.SessionState) { s.Adj[2] = "" },
+		"bad labels": func(s *resilience.SessionState) { s.Labels = s.Labels[:3] },
+		"zero n":     func(s *resilience.SessionState) { s.N = 0 },
 	}
 	for name, mutate := range cases {
 		s := fresh()

@@ -24,7 +24,7 @@ import (
 )
 
 // otsimReport recomputes the report the otsim CLI would print for a
-// job, with a fresh machine and no cache, batch engine or pool in the
+// job, with a fresh machine and no cache or pool in the
 // loop — an independent reference for the server's bit-identical
 // determinism contract.
 func otsimReport(t *testing.T, j *Job) *report.Report {

@@ -79,7 +79,7 @@ type planStep struct {
 	// rels is the frozen per-leaf release vector (opReduce only).
 	rels []vlsi.Time
 	// perLeaf is the frozen per-leaf completion vector (opBroadcast
-	// on a Tree; batch plans do not record it). Shared read-only.
+	// only). Shared read-only.
 	perLeaf []vlsi.Time
 }
 
@@ -95,9 +95,9 @@ type RoutePlan struct {
 	endAscents   uint64
 	steps        []planStep
 	// endUp/endDown are the occupancy arrays after the last recorded
-	// step: a fully matched replay that must materialize (divergence,
-	// snapshot, batch fan-out) restores them with one O(K) copy
-	// instead of re-interpreting the whole prefix.
+	// step: a fully matched replay that must materialize (divergence
+	// or snapshot) restores them with one O(K) copy instead of
+	// re-interpreting the whole prefix.
 	endUp, endDown []vlsi.Time
 	// full marks a plan frozen at planMaxSteps: exhausting it does
 	// not restart recording.
@@ -125,10 +125,10 @@ type planRecorder struct {
 type planKey struct{ shape, fault, first uint64 }
 
 // PlanCache is a mutex-guarded store of frozen plans, shareable
-// across trees, batches, machines and goroutines.
+// across trees, machines and goroutines.
 type PlanCache struct {
-	mu   sync.Mutex
-	m    map[planKey]*RoutePlan
+	mu           sync.Mutex
+	m            map[planKey]*RoutePlan
 	hits, misses int64
 }
 
@@ -232,11 +232,6 @@ func timesEqual(a, b []vlsi.Time) bool {
 	}
 	return true
 }
-
-// batchKeySalt separates batch plans from tree plans in the shared
-// cache: batch steps carry no perLeaf vector, so a tree must never
-// adopt one.
-const batchKeySalt uint64 = 0xB5297A4D3C8F1E67
 
 // ---------------------------------------------------------------- Tree
 
@@ -464,169 +459,4 @@ func (t *Tree) planInvalidate() {
 	t.rec = nil
 	t.adopt = false
 	t.pos, t.applied = 0, 0
-}
-
-// --------------------------------------------------------------- Batch
-
-// SetCompile enables or disables route compilation on the batch.
-func (bb *Batch) SetCompile(on bool) {
-	if on {
-		bb.compileOff = false
-		return
-	}
-	if bb.plan != nil || bb.occDirty {
-		bb.syncU()
-	}
-	bb.plan = nil
-	bb.rec = nil
-	bb.adopt = false
-	bb.compileOff = true
-}
-
-// HasRoutePlan reports whether the batch holds a compiled plan.
-func (bb *Batch) HasRoutePlan() bool { return bb.plan != nil }
-
-// zeroOccU clears lane 0's occupancy slots. Lanes >= 1 are left
-// stale: uniform mode reads and writes lane 0 only, and materialize
-// overwrites every other lane from lane 0 before per-lane mode can
-// read them.
-func (bb *Batch) zeroOccU() {
-	b := bb.b
-	for v := 0; v < 2*bb.t.geom.K; v++ {
-		bb.upFree[v*b] = 0
-		bb.downFree[v*b] = 0
-	}
-}
-
-// planActiveU reports whether the uniform fast path must consult the
-// compiler.
-func (bb *Batch) planActiveU() bool {
-	return bb.plan != nil || bb.rec != nil || bb.adopt
-}
-
-// planStepU is planStep for the batch's uniform fast path: lane 0's
-// claim arithmetic is identical to a dedicated tree's, so the step
-// encoding (and the matching) is the same — only the key space
-// differs (batchKeySalt) because batch steps carry no perLeaf.
-func (bb *Batch) planStepU(op planOp, a, b int32, rel vlsi.Time) *planStep {
-	if bb.adopt {
-		bb.adoptOrRecordU(op, a, b, rel)
-	}
-	p := bb.plan
-	if p == nil || bb.rec != nil {
-		return nil
-	}
-	if bb.pos >= len(p.steps) {
-		bb.syncU()
-		bb.plan = nil
-		if !p.full && !bb.compileOff {
-			bb.rec = &planRecorder{steps: append(make([]planStep, 0, len(p.steps)+16), p.steps...)}
-		}
-		return nil
-	}
-	st := &p.steps[bb.pos]
-	if st.op != op || st.a != a || st.b != b || st.rel != rel {
-		bb.syncU()
-		bb.plan = nil
-		return nil
-	}
-	bb.pos++
-	return st
-}
-
-// adoptOrRecordU resolves the batch's first-operation decision.
-func (bb *Batch) adoptOrRecordU(op planOp, a, b int32, rel vlsi.Time) {
-	bb.adopt = false
-	if bb.compileOff {
-		return
-	}
-	if c := bb.t.cache; c != nil {
-		if p := c.get(planKey{bb.t.shapeSig ^ batchKeySalt, 0, stepSig(op, a, b, rel, nil)}); p != nil {
-			bb.plan = p
-			bb.pos, bb.applied = 0, 0
-			bb.occDirty = false
-			return
-		}
-	}
-	bb.rec = &planRecorder{}
-}
-
-// recordU appends one uniform operation; at the cap the plan freezes
-// in place like the tree's.
-func (bb *Batch) recordU(st planStep) {
-	bb.rec.steps = append(bb.rec.steps, st)
-	if len(bb.rec.steps) >= planMaxSteps {
-		bb.freezeU()
-		if bb.plan != nil {
-			bb.pos = len(bb.plan.steps)
-			bb.applied = bb.pos
-			bb.occDirty = false
-		}
-	}
-}
-
-// freezeU freezes the batch recorder. Lane 0's occupancy (strided)
-// is the end state; batches are healthy by construction so the fault
-// fingerprint is zero and ascents do not apply.
-func (bb *Batch) freezeU() {
-	rec := bb.rec
-	bb.rec = nil
-	if rec == nil || len(rec.steps) == 0 {
-		return
-	}
-	k2 := 2 * bb.t.geom.K
-	p := &RoutePlan{
-		shape:   bb.t.shapeSig ^ batchKeySalt,
-		steps:   rec.steps,
-		endUp:   make([]vlsi.Time, k2),
-		endDown: make([]vlsi.Time, k2),
-		full:    len(rec.steps) >= planMaxSteps,
-	}
-	for v := 0; v < k2; v++ {
-		p.endUp[v] = bb.upFree[v*bb.b]
-		p.endDown[v] = bb.downFree[v*bb.b]
-	}
-	bb.plan = p
-	if c := bb.t.cache; c != nil && !bb.compileOff {
-		s := &p.steps[0]
-		c.put(planKey{p.shape, 0, stepSig(s.op, s.a, s.b, s.rel, s.rels)}, p)
-	}
-}
-
-// syncU materializes lane 0's occupancy at the replay cursor: zero
-// (lazy Reset), then either the O(K) recorded end-state copy or a
-// re-interpretation of the matched prefix.
-func (bb *Batch) syncU() {
-	if bb.occDirty {
-		bb.zeroOccU()
-		bb.occDirty = false
-	}
-	p := bb.plan
-	if p == nil || bb.applied >= bb.pos {
-		bb.applied = bb.pos
-		return
-	}
-	if bb.applied == 0 && bb.pos == len(p.steps) {
-		b := bb.b
-		for v := 0; v < 2*bb.t.geom.K; v++ {
-			bb.upFree[v*b] = p.endUp[v]
-			bb.downFree[v*b] = p.endDown[v]
-		}
-		bb.applied = bb.pos
-		return
-	}
-	for i := bb.applied; i < bb.pos; i++ {
-		st := &p.steps[i]
-		switch st.op {
-		case opBroadcast:
-			bb.broadcastU(st.rel)
-		case opReduceU:
-			bb.reduceUniformU(st.rel)
-		case opRoute:
-			bb.routeLane(0, int(st.a), int(st.b), st.rel)
-		case opExchange:
-			bb.exchangeLane(0, int(st.a), st.rel)
-		}
-	}
-	bb.applied = bb.pos
 }

@@ -465,100 +465,6 @@ func TestPlanReplayAllocFree(t *testing.T) {
 	}
 }
 
-// TestBatchPlanReplayAllocFree is the same contract for the batched
-// router's uniform fast path.
-func TestBatchPlanReplayAllocFree(t *testing.T) {
-	k := 64
-	tr := newPlanTree(t, k, NewPlanCache())
-	bb, err := tr.NewBatch(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := make([]vlsi.Time, 8)
-	dones := make([]vlsi.Time, 8)
-	round := func() {
-		bb.Reset()
-		bb.Broadcast(rels, dones)
-		bb.ReduceUniform(dones, dones)
-		bb.ExchangePairs(2, rels, dones)
-	}
-	round()
-	round()
-	if avg := testing.AllocsPerRun(50, round); avg != 0 {
-		t.Fatalf("steady-state batch replay allocates %.1f times per run, want 0", avg)
-	}
-}
-
-// TestBatchPlanDifferential drives a batch with compiled uniform fast
-// path against a compile-off batch: uniform prefix, mid-stream
-// fan-out to per-lane mode, and back through Reset.
-func TestBatchPlanDifferential(t *testing.T) {
-	k := 16
-	b := 4
-	mk := func(compile bool) *Batch {
-		tr := newPlanTree(t, k, NewPlanCache())
-		bb, err := tr.NewBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !compile {
-			bb.SetCompile(false)
-		}
-		return bb
-	}
-	compiled, interp := mk(true), mk(false)
-	rng := rand.New(rand.NewSource(13))
-	relSeq := make([]vlsi.Time, 12)
-	for i := range relSeq {
-		relSeq[i] = vlsi.Time(rng.Intn(20))
-	}
-	uni := make([]vlsi.Time, b)
-	dc := make([]vlsi.Time, b)
-	di := make([]vlsi.Time, b)
-	leaves := make([]int, b)
-	for round := 0; round < 6; round++ {
-		compiled.Reset()
-		interp.Reset()
-		for step := 0; step < 12; step++ {
-			r := relSeq[step]
-			for p := range uni {
-				uni[p] = r
-				if round == 4 && step == 6 {
-					// One divergent round: per-lane releases break
-					// uniformity mid-stream and force materialization.
-					uni[p] = r + vlsi.Time(p)
-				}
-			}
-			switch step % 4 {
-			case 0:
-				compiled.Broadcast(uni, dc)
-				interp.Broadcast(uni, di)
-			case 1:
-				compiled.ReduceUniform(uni, dc)
-				interp.ReduceUniform(uni, di)
-			case 2:
-				for p := range leaves {
-					leaves[p] = int(uni[p]) % k
-				}
-				compiled.Gather(leaves, uni, dc)
-				interp.Gather(leaves, uni, di)
-			case 3:
-				compiled.ExchangePairs(2, uni, dc)
-				interp.ExchangePairs(2, uni, di)
-			}
-			for p := 0; p < b; p++ {
-				if dc[p] != di[p] {
-					t.Fatalf("round %d step %d lane %d: compiled %d interp %d",
-						round, step, p, dc[p], di[p])
-				}
-			}
-		}
-		if round >= 2 && round != 4 && !compiled.HasRoutePlan() {
-			t.Fatalf("round %d: batch did not compile", round)
-		}
-	}
-}
-
 // TestPlanCacheSharedRace hammers one PlanCache from many goroutines,
 // each with a private same-shape tree: publishes and adoptions
 // interleave, and every goroutine must still observe interpreter

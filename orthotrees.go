@@ -138,9 +138,6 @@ type (
 	// cost of the incremental CONNECT engine versus a full recompute
 	// across batch sizes and grid sizes (see IncrementalStudy).
 	IncrementalSweep = analysis.IncrementalSweep
-	// Batch executes B independent program instances on one OTN's
-	// routing fabric at once (see NewBatch).
-	Batch = core.Batch
 	// MachineCache recycles constructed machines across analysis
 	// sweeps and benchmark iterations (see NewMachineCache).
 	MachineCache = mcache.Cache
@@ -168,13 +165,6 @@ func NewOTN(k int) (*Machine, error) { return core.NewDefault(k, k*k) }
 
 // NewOTNWith builds a (k×k)-OTN under an explicit configuration.
 func NewOTNWith(k int, cfg Config) (*Machine, error) { return core.New(k, cfg) }
-
-// NewBatch wraps a healthy OTN in a B-lane batched executor: one
-// traversal of the machine's tree routers services B independent
-// program instances, amortizing the host-side simulation cost while
-// every lane's simulated times stay bit-identical to a dedicated run.
-// The machine must be fault-free and use native tree routers.
-func NewBatch(m *Machine, lanes int) (*Batch, error) { return core.NewBatch(m, lanes) }
 
 // NewMachineCache returns an empty machine cache. Checkout pops an
 // idle machine for the key (or builds one on a miss); Return recycles
@@ -302,14 +292,6 @@ func IncrementalStudy(ns, batches []int, steps int, seed uint64) (*IncrementalSw
 // ports in Θ(log² K) bit-times.
 func Sort(m *Machine, xs []int64) ([]int64, Time) {
 	return sorting.SortOTN(m, xs, 0)
-}
-
-// SortBatch runs SORT-OTN on every lane of a batched machine at
-// once: lane p sorts problems[p] (len(problems) must equal the
-// batch's lane count), and lane p's output and completion time are
-// bit-identical to Sort on a dedicated machine.
-func SortBatch(bb *Batch, problems [][]int64) ([][]int64, []Time) {
-	return sorting.SortOTNBatch(bb, problems)
 }
 
 // SortPipelined streams batches of sort problems through one OTN
