@@ -14,13 +14,14 @@ vet:
 
 # The race detector is pointed at the packages that share memory
 # across goroutines: the goroutine-per-node engine, the tree router it
-# cross-validates, and — since the host-parallel core — the machine's
-# ParDo pool, the analysis sweep's concurrent cells (whose determinism
-# test doubles as the race proof), and the fault/recovery layer's
-# per-lane health ledgers and supervisor. The explicit Plan pass keeps
-# the compiled-routing replay paths (shared plan cache, differential
-# fuzz, stale-plan recovery) under the detector by name, so a test
-# rename can't silently drop them.
+# cross-validates, the analysis sweep's concurrent cells (each owns
+# its machine; their determinism test doubles as the race proof), the
+# fault/recovery layer, and the server's workers and process-global
+# caches. core and par stay on the list so a goroutine or shared
+# state that creeps back into the machine is caught. The explicit
+# Plan pass keeps the compiled-routing replay paths (shared plan
+# cache, differential fuzz, stale-plan recovery) under the detector by
+# name, so a test rename can't silently drop them.
 race:
 	$(GO) test -race ./internal/concurrent/... ./internal/tree/... ./internal/par/... ./internal/core/... ./internal/mcache/... ./internal/fault/... ./internal/resilience/... ./internal/server/... ./internal/bits/... ./internal/packed/... ./internal/journal/...
 	$(GO) test -race -run 'Deterministic|Parallel|Batch|Recovery' ./internal/analysis/... ./internal/algorithms/sorting/...

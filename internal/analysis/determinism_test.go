@@ -33,11 +33,11 @@ func sameRows(a, b []Row) bool {
 
 // Host parallelism is an implementation detail of the simulator, not
 // of the simulated machine: every table must come out bit-identical
-// whether the (network, N) cells — and the ParDo bodies inside them —
-// run on one host worker or many. This is the repository's contract
-// that wall-clock optimisation never moves a simulated quantity, and
-// running it under -race doubles as the proof that the concurrent
-// sweep is race-free.
+// whether the (network, N) cells run on one host worker or many, each
+// cell on the goroutine that owns its machine. This is the
+// repository's contract that wall-clock optimisation never moves a
+// simulated quantity, and running it under -race doubles as the proof
+// that the concurrent sweep is race-free.
 func TestTablesDeterministicUnderHostParallelism(t *testing.T) {
 	type result struct{ t1, t3 []Row }
 	run := func(procs int) result {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/vlsi"
@@ -25,7 +26,6 @@ func TestPrimitivesAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetHostWorkers(1)
 	vec := Vector{IsRow: true}
 	m.Set("A", 0, 5, 42)
 	sel := One(5)
@@ -47,30 +47,93 @@ func TestPrimitivesAllocationFree(t *testing.T) {
 	requireAllocs(t, "SumLeafToRoot", 0, func() { m.Reset(); m.SumLeafToRoot(vec, All, "A", 0) })
 	requireAllocs(t, "MinLeafToRoot", 0, func() { m.Reset(); m.MinLeafToRoot(vec, All, "A", 0) })
 	requireAllocs(t, "CompareExchange", 0, func() { m.Reset(); m.CompareExchange(vec, 8, "A", asc, 0) })
-	// PermuteVector draws its cycle-tracking scratch from a pool; the
-	// pool itself may repopulate occasionally, hence the slack of 1.
-	requireAllocs(t, "PermuteVector", 1, func() { m.Reset(); m.PermuteVector(vec, perm, "A", "B", 0) })
+	// PermuteVector stages through the machine's own scratch.
+	requireAllocs(t, "PermuteVector", 0, func() { m.Reset(); m.PermuteVector(vec, perm, "A", "B", 0) })
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// A full sequential ParDo sweep over K rows costs one allocation (the
-// body closure), not Θ(K): the per-row primitives inside stay free.
+// A full ParDo sweep over K rows is allocation-free: the body closure
+// does not escape the sequential loop, and the per-row primitives
+// inside stay free.
 func TestParDoSweepAllocations(t *testing.T) {
 	m, err := NewDefault(64, 64*64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetHostWorkers(1)
 	sel := One(5)
 	m.Set("A", 0, 5, 1)
-	requireAllocs(t, "ParDo(LeafToRoot)", 1, func() {
-		m.Reset()
-		m.ParDo(true, 0, func(v Vector, rel vlsi.Time) vlsi.Time {
-			return m.LeafToRoot(v, sel, "A", rel)
-		})
+	warmSweep(m, sel)
+	requireAllocs(t, "ParDo(LeafToRoot)", 0, func() { leafToRootSweep(m, sel) })
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// warmSweep runs the two sweeps that record and publish the route
+// plans, so a count that follows sees the steady state whether or not
+// an earlier test already left those plans in the shared PlanCache.
+func warmSweep(m *Machine, sel Sel) {
+	leafToRootSweep(m, sel)
+	leafToRootSweep(m, sel)
+}
+
+func leafToRootSweep(m *Machine, sel Sel) {
+	m.Reset()
+	m.ParDo(true, 0, func(v Vector, rel vlsi.Time) vlsi.Time {
+		return m.LeafToRoot(v, sel, "A", rel)
 	})
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1)
+// pin: it counts heap allocations at whatever GOMAXPROCS the caller
+// set, one warm-up run first, integer average over runs.
+func mallocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// A Machine runs on the goroutine that owns it, so the host's core
+// count must not change what it allocates. testing.AllocsPerRun pins
+// GOMAXPROCS to 1 and so cannot see a per-core pool or worker fan-out;
+// this test counts at 1 and at 2 and requires equal counts.
+func TestAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	m, err := NewDefault(64, 64*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := One(5)
+	m.Set("A", 0, 5, 1)
+	warmSweep(m, sel)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"ParDo(LeafToRoot) K=64", func() { leafToRootSweep(m, sel) }},
+		{"NewDefault(64, 4096)", func() {
+			if _, err := NewDefault(64, 64*64); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		runtime.GOMAXPROCS(1)
+		one := mallocsPerRun(20, c.f)
+		runtime.GOMAXPROCS(2)
+		two := mallocsPerRun(20, c.f)
+		t.Logf("%s: %d allocs/op at GOMAXPROCS=1, %d at 2", c.name, one, two)
+		if one != two {
+			t.Errorf("%s: allocs/op depend on GOMAXPROCS", c.name)
+		}
+	}
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,76 +14,28 @@ import (
 // spans. Bit banks carry data only — no timing is ever derived from
 // them; every simulated bit-time still comes from the tree routers.
 //
-// Lifecycle mirrors the scalar COW-map banks: lazily grown under
-// regMu, zeroed by Recycle, captured and restored by
-// Snapshot/Restore.
-
-// bitBanks is the COW map type behind Machine.bitRegs.
-type bitBanks = map[Reg]*bits.Matrix
+// Lifecycle mirrors the scalar exotic banks: grown on first use,
+// zeroed by Recycle, captured and restored by Snapshot/Restore.
 
 // BitBank returns (allocating on first use) the packed K×K bit bank
-// shadowing register r. Like the scalar exotic banks it lives behind
-// an atomic copy-on-write map, so ParDo bodies on concurrent host
-// workers read installed banks without synchronization.
+// shadowing register r.
 func (m *Machine) BitBank(r Reg) *bits.Matrix {
-	if b, ok := (*m.loadBitRegs())[r]; ok {
+	if b, ok := m.bitRegs[r]; ok {
 		return b
 	}
-	return m.growBitBank(r)
+	if m.bitRegs == nil {
+		m.bitRegs = make(map[Reg]*bits.Matrix)
+	}
+	b := bits.NewMatrix(m.K)
+	m.bitRegs[r] = b
+	return b
 }
 
 // HasBitBank reports whether a bit bank for r has been created,
 // without creating one.
 func (m *Machine) HasBitBank(r Reg) bool {
-	_, ok := (*m.loadBitRegs())[r]
+	_, ok := m.bitRegs[r]
 	return ok
-}
-
-// loadBitRegs returns the current bit-bank map, installing the empty
-// map on first touch of a machine constructed before this field
-// existed in init (NewWithRouters goes through init too, but a
-// zero-value atomic holds nil until first Store).
-func (m *Machine) loadBitRegs() *bitBanks {
-	if p := m.bitRegs.Load(); p != nil {
-		return p
-	}
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	if p := m.bitRegs.Load(); p != nil {
-		return p
-	}
-	empty := make(bitBanks)
-	m.bitRegs.Store(&empty)
-	return &empty
-}
-
-// growBitBank installs a fresh all-zero bit bank under the register
-// lock, republishing the whole map (same protocol as growBank).
-func (m *Machine) growBitBank(r Reg) *bits.Matrix {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	cur := *m.loadBitRegsLocked()
-	if b, ok := cur[r]; ok {
-		return b
-	}
-	next := make(bitBanks, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	b := bits.NewMatrix(m.K)
-	next[r] = b
-	m.bitRegs.Store(&next)
-	return b
-}
-
-// loadBitRegsLocked is loadBitRegs for callers already holding regMu.
-func (m *Machine) loadBitRegsLocked() *bitBanks {
-	if p := m.bitRegs.Load(); p != nil {
-		return p
-	}
-	empty := make(bitBanks)
-	m.bitRegs.Store(&empty)
-	return &empty
 }
 
 // SetBit writes bit (i,j) of register r's bit bank. A stuck BP's
@@ -101,7 +53,7 @@ func (m *Machine) GetBit(r Reg, i, j int) bool { return m.BitBank(r).Get(i, j) }
 
 // eachBitBank visits every live bit bank.
 func (m *Machine) eachBitBank(f func(r Reg, b *bits.Matrix)) {
-	for r, b := range *m.loadBitRegs() {
+	for r, b := range m.bitRegs {
 		f(r, b)
 	}
 }

@@ -61,12 +61,7 @@ func (e *SnapshotError) Error() string {
 
 // fail records err as the machine's sticky error (first error wins)
 // and mirrors it into the fault health report when one is attached.
-// The lock makes "first" well defined when parallel ParDo bodies fail
-// concurrently; which body's error wins then depends on scheduling,
-// but every winner is a genuine misuse the caller must handle.
 func (m *Machine) fail(err error) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
 	if m.err == nil {
 		m.err = err
 	}
@@ -77,16 +72,8 @@ func (m *Machine) fail(err error) {
 
 // Err returns the first misuse or unrecoverable fault outcome
 // recorded since construction or the last ClearErr, or nil.
-func (m *Machine) Err() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
-}
+func (m *Machine) Err() error { return m.err }
 
 // ClearErr clears the sticky error (the fault health report keeps its
 // own record).
-func (m *Machine) ClearErr() {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	m.err = nil
-}
+func (m *Machine) ClearErr() { m.err = nil }

@@ -21,12 +21,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/bits"
 	"repro/internal/fault"
 	"repro/internal/layout"
-	"repro/internal/par"
 	"repro/internal/tree"
 	"repro/internal/vlsi"
 )
@@ -184,30 +182,23 @@ type Machine struct {
 	// named holds the banks of the six paper registers (A, B, C, D,
 	// R, flag), pre-allocated at construction and indexed by
 	// regIndex: the hot read path is one switch on a one-byte string
-	// plus an array load — no map hash, no atomic. Each bank is one
-	// contiguous row-major K×K slice (BP(i,j) at index i*K+j), so a
-	// row sweep is unit-stride and a column sweep a single constant
-	// stride. The slots are immutable after init, so ParDo workers
-	// read them without synchronization.
+	// plus an array load — no map hash. Each bank is one contiguous
+	// row-major K×K slice (BP(i,j) at index i*K+j), so a row sweep is
+	// unit-stride and a column sweep a single constant stride.
 	named [len(namedRegs)][]int64
 
-	// regs holds banks of any *other* register names behind an atomic
-	// copy-on-write map — the slow path for exotic callers. regMu
-	// serializes the rare grow path that installs a new bank.
-	regs  atomic.Pointer[map[Reg][]int64]
-	regMu sync.Mutex
+	// regs holds banks of any *other* register names — the slow path
+	// for exotic callers, grown on first use by bank.
+	regs map[Reg][]int64
 
 	// bitRegs holds the packed Boolean bit banks (see bitbank.go),
-	// behind the same COW protocol as regs and guarded by regMu on the
-	// grow path.
-	bitRegs atomic.Pointer[bitBanks]
+	// grown on first use by BitBank.
+	bitRegs map[Reg]*bits.Matrix
 
 	rowRoot []int64
 	colRoot []int64
 
 	// Sticky error and fault state (see errors.go, degraded.go).
-	// errMu guards err: parallel ParDo bodies may fail concurrently.
-	errMu  sync.Mutex
 	err    error
 	faulty bool
 	plan   *fault.Plan
@@ -219,19 +210,8 @@ type Machine struct {
 	// machine cache drops such machines rather than proving a scrub.
 	dynamic bool
 
-	// workers is the host worker-pool width for ParDo (0 = one per
-	// CPU); disjointRouters records that every row and column router
-	// owns private state (true for the native OTN constructors, false
-	// for NewWithRouters, whose routers may share hardware — the OTC
-	// emulation shares one physical tree per group, so issue order
-	// through its edge occupancy is part of the simulated timing).
-	workers         int
-	disjointRouters bool
-
-	// permPool recycles PermuteVector's validation/value scratch;
-	// pooled (not a plain field) so concurrent ParDo bodies each get
-	// their own.
-	permPool sync.Pool
+	// perm is PermuteVector's validation/staging scratch.
+	perm permScratch
 
 	// Tracer, when non-nil, receives one event per primitive.
 	Tracer func(op string, vec Vector, start, end vlsi.Time)
@@ -291,21 +271,13 @@ func regIndex(r Reg) int {
 
 // init finishes construction: the six named banks as one contiguous
 // arena (a single allocation, and neighbouring banks stay cache-warm
-// across a program's register mix), the empty COW map for exotic
-// register names, and the PermuteVector scratch pool.
+// across a program's register mix) and the PermuteVector scratch.
 func (m *Machine) init() {
 	arena := make([]int64, len(namedRegs)*m.K*m.K)
 	for i := range m.named {
 		m.named[i], arena = arena[:m.K*m.K:m.K*m.K], arena[m.K*m.K:]
 	}
-	empty := make(map[Reg][]int64)
-	m.regs.Store(&empty)
-	emptyBits := make(bitBanks)
-	m.bitRegs.Store(&emptyBits)
-	k := m.K
-	m.permPool.New = func() any {
-		return &permScratch{seen: make([]bool, k), vals: make([]int64, k)}
-	}
+	m.perm = permScratch{seen: make([]bool, m.K), vals: make([]int64, m.K)}
 }
 
 // New builds a (K×K)-OTN under the given configuration. K must be a
@@ -327,9 +299,6 @@ func New(k int, cfg vlsi.Config) (*Machine, error) {
 		cols:    make([]Router, k),
 		rowRoot: make([]int64, k),
 		colRoot: make([]int64, k),
-		// Every row/column tree is private to its vector, so ParDo
-		// may replay vectors on concurrent host workers.
-		disjointRouters: true,
 	}
 	m.init()
 	if err := m.buildTrees(geom, cfg, false); err != nil {
@@ -338,57 +307,24 @@ func New(k int, cfg vlsi.Config) (*Machine, error) {
 	return m, nil
 }
 
-// buildTrees populates the 2K routers of a native OTN, sharding the
-// bulk tree constructor (tree.NewBulk: shared latency table, slab
-// arenas) across host workers. Shards only split the allocation work;
-// every tree is identical to one built alone, so the machine is
-// bit-for-bit the machine the serial constructor produced.
+// buildTrees populates the 2K routers of a native OTN with two bulk
+// tree constructor calls (tree.NewBulk: shared latency table, slab
+// arenas), one for the row trees and one for the column trees.
 func (m *Machine) buildTrees(geom *layout.OTNGeom, cfg vlsi.Config, scaled bool) error {
-	build := func(g *layout.TreeGeom, count int) ([]*tree.Tree, error) {
-		if scaled {
-			return tree.NewScaledBulk(g, cfg, count)
-		}
-		return tree.NewBulk(g, cfg, count)
+	build := tree.NewBulk
+	if scaled {
+		build = tree.NewScaledBulk
 	}
-	k := m.K
-	shards := par.DefaultWorkers()
-	if shards > k {
-		shards = k
+	rows, err := build(geom.RowTree, cfg, m.K)
+	if err != nil {
+		return err
 	}
-	if shards < 1 {
-		shards = 1
+	cols, err := build(geom.ColTree, cfg, m.K)
+	if err != nil {
+		return err
 	}
-	chunk := (k + shards - 1) / shards
-	errs := make([]error, 2*shards)
-	// 2·shards independent jobs: shard s of the row trees, then shard
-	// s of the column trees — each bulk call owns a private arena.
-	par.Do(2*shards, 2*shards, func(job int) {
-		half, s := job/shards, job%shards
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			return
-		}
-		g, dst := geom.RowTree, m.rows
-		if half == 1 {
-			g, dst = geom.ColTree, m.cols
-		}
-		ts, err := build(g, hi-lo)
-		if err != nil {
-			errs[job] = err
-			return
-		}
-		for i, t := range ts {
-			dst[lo+i] = t
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	for i := range rows {
+		m.rows[i], m.cols[i] = rows[i], cols[i]
 	}
 	return nil
 }
@@ -415,15 +351,14 @@ func NewScaled(k int, cfg vlsi.Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		K:               k,
-		Cfg:             cfg,
-		Geom:            geom,
-		area:            geom.Area(),
-		rows:            make([]Router, k),
-		cols:            make([]Router, k),
-		rowRoot:         make([]int64, k),
-		colRoot:         make([]int64, k),
-		disjointRouters: true,
+		K:       k,
+		Cfg:     cfg,
+		Geom:    geom,
+		area:    geom.Area(),
+		rows:    make([]Router, k),
+		cols:    make([]Router, k),
+		rowRoot: make([]int64, k),
+		colRoot: make([]int64, k),
 	}
 	m.init()
 	if err := m.buildTrees(geom, cfg, true); err != nil {
@@ -457,70 +392,33 @@ func (m *Machine) WordBits() int { return m.Cfg.WordBits }
 // word occupies a bit-serial resource.
 func (m *Machine) WordTime() vlsi.Time { return vlsi.Time(m.Cfg.WordBits) }
 
-// SetHostWorkers bounds the host worker pool ParDo spreads vector
-// bodies over: n = 1 forces sequential replay, n = 0 restores the
-// default (one worker per CPU). This is host parallelism only — the
-// simulated bit-times are identical for every setting (see ParDo).
-func (m *Machine) SetHostWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.workers = n
-}
-
-// hostWorkers resolves the effective worker count.
-func (m *Machine) hostWorkers() int {
-	if m.workers > 0 {
-		return m.workers
-	}
-	return par.DefaultWorkers()
-}
-
 // bank returns (allocating if needed) the storage for a register: one
 // contiguous row-major K×K slice, BP(i,j) at index i*K+j. The six
 // paper registers resolve through the pre-allocated named slots; any
-// other name falls back to a lock-free atomic load of the COW map —
-// either way ParDo bodies on concurrent host workers read banks
-// without contention.
+// other name falls back to the regs map, grown here on first use.
 func (m *Machine) bank(r Reg) []int64 {
 	if idx := regIndex(r); idx >= 0 {
 		return m.named[idx]
 	}
-	if b, ok := (*m.regs.Load())[r]; ok {
+	if b, ok := m.regs[r]; ok {
 		return b
 	}
-	return m.growBank(r)
-}
-
-// growBank installs a fresh bank under the machine's register lock,
-// republishing the whole map so concurrent bank readers never observe
-// a map mutation. Each register is installed once per machine
-// lifetime, so the copy cost is irrelevant.
-func (m *Machine) growBank(r Reg) []int64 {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	cur := *m.regs.Load()
-	if b, ok := cur[r]; ok {
-		return b
-	}
-	next := make(map[Reg][]int64, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	if m.regs == nil {
+		m.regs = make(map[Reg][]int64)
 	}
 	b := make([]int64, m.K*m.K)
-	next[r] = b
-	m.regs.Store(&next)
+	m.regs[r] = b
 	return b
 }
 
 // eachBank visits every live register bank — the six pre-allocated
-// named slots plus any exotic banks in the COW map. Snapshot, Restore
+// named slots plus any exotic banks in the regs map. Snapshot, Restore
 // and Recycle go through this so the named arena is never skipped.
 func (m *Machine) eachBank(f func(r Reg, bank []int64)) {
 	for i, r := range namedRegs {
 		f(r, m.named[i])
 	}
-	for r, bank := range *m.regs.Load() {
+	for r, bank := range m.regs {
 		f(r, bank)
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/vlsi"
 )
@@ -296,12 +294,7 @@ func (m *Machine) PermuteVector(vec Vector, perm []int, src, dst Reg, rel vlsi.T
 		m.fail(&MisuseError{Op: "PERMUTE", Reason: fmt.Sprintf("permutation of %d on K=%d", len(perm), m.K)})
 		return rel
 	}
-	// The validation and staging buffers come from a pool rather than
-	// make: PermuteVector may run inside concurrent ParDo bodies, so
-	// the scratch cannot be a shared machine field.
-	ps := m.permPool.Get().(*permScratch)
-	defer m.permPool.Put(ps)
-	seen := ps.seen
+	seen := m.perm.seen
 	for i := range seen {
 		seen[i] = false
 	}
@@ -314,7 +307,7 @@ func (m *Machine) PermuteVector(vec Vector, perm []int, src, dst Reg, rel vlsi.T
 	}
 	// Functional move (read all, then write all — the words are in
 	// flight simultaneously).
-	vals := ps.vals
+	vals := m.perm.vals
 	sb := m.bank(src)
 	base, step := m.vecSpan(vec)
 	for k := 0; k < m.K; k++ {
@@ -352,21 +345,11 @@ func (m *Machine) PermuteVector(vec Vector, perm []int, src, dst Reg, rel vlsi.T
 
 // ParDo runs f on every row (or every column, per rows) released at
 // rel and returns the latest completion — the paper's
-// "for each i pardo" construct.
-//
-// When the machine's vectors are independent (parSafe), the bodies
-// are replayed across a bounded pool of host goroutines. This is
-// wall-clock parallelism only: every body still sees release time
-// rel, each touches only its own vector's router, bank row/column and
-// tree root (disjoint state), and the results are max-reduced — a
-// commutative, associative combine — so the returned completion and
-// every simulated quantity are bit-identical to the sequential
-// replay. DESIGN.md's "Simulated vs host parallelism" section carries
-// the full argument; the determinism tests pin it under -race.
+// "for each i pardo" construct. The parallelism is simulated: every
+// body sees release time rel and the completions are max-reduced, so
+// the bodies run one after another on the caller's goroutine while
+// the returned completion is the time all K trees finish at once.
 func (m *Machine) ParDo(rows bool, rel vlsi.Time, f func(vec Vector, rel vlsi.Time) vlsi.Time) vlsi.Time {
-	if w := m.hostWorkers(); w > 1 && m.K >= parDoMinK && m.parSafe() {
-		return m.parDo(rows, rel, f, w)
-	}
 	done := rel
 	for i := 0; i < m.K; i++ {
 		vec := Col(i)
@@ -378,59 +361,4 @@ func (m *Machine) ParDo(rows bool, rel vlsi.Time, f func(vec Vector, rel vlsi.Ti
 		}
 	}
 	return done
-}
-
-// parDoMinK is the smallest base side worth spreading over workers:
-// below it the goroutine fork/join overhead exceeds the body work.
-const parDoMinK = 8
-
-// parSafe reports whether ParDo bodies may run on concurrent host
-// workers with bit-identical results. Three conditions can forbid it:
-// routers sharing physical hardware (the OTC emulation pipelines L
-// logical vectors through one tree, so issue order is part of the
-// simulated timing), degraded mode (reroutes cross into orthogonal
-// trees, breaking vector disjointness), and an attached Tracer (event
-// order is part of its contract).
-func (m *Machine) parSafe() bool {
-	return m.disjointRouters && !m.faulty && m.Tracer == nil
-}
-
-// parDo replays the K bodies on up to w host workers in contiguous
-// chunks and max-reduces the completions through an atomic.
-func (m *Machine) parDo(rows bool, rel vlsi.Time, f func(vec Vector, rel vlsi.Time) vlsi.Time, w int) vlsi.Time {
-	if w > m.K {
-		w = m.K
-	}
-	chunk := (m.K + w - 1) / w
-	var done atomic.Int64
-	done.Store(int64(rel))
-	var wg sync.WaitGroup
-	for lo := 0; lo < m.K; lo += chunk {
-		hi := lo + chunk
-		if hi > m.K {
-			hi = m.K
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			local := rel
-			for i := lo; i < hi; i++ {
-				vec := Col(i)
-				if rows {
-					vec = Row(i)
-				}
-				if t := f(vec, rel); t > local {
-					local = t
-				}
-			}
-			for {
-				cur := done.Load()
-				if int64(local) <= cur || done.CompareAndSwap(cur, int64(local)) {
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return vlsi.Time(done.Load())
 }

@@ -1,14 +1,12 @@
-// Package par provides the bounded host-parallelism primitives the
-// simulator uses to spread independent work across CPU cores: a
-// chunked parallel-for for core.Machine's pardo bodies and an
-// errgroup-style Group for the analysis sweeps.
+// Package par provides the bounded host-parallelism primitive the
+// analysis sweeps use to spread independent cells across CPU cores:
+// an errgroup-style Group, each of whose tasks owns its own machine.
 //
 // Everything here is HOST parallelism — wall-clock only. The
 // parallelism the paper talks about (every row and column tree
-// operating at once) is SIMULATED, accounted in bit-times, and is
-// completely unaffected by how many host goroutines replay it; see
-// DESIGN.md's "Simulated vs host parallelism" section for the
-// race-freedom argument that makes the two independent.
+// operating at once) is SIMULATED, accounted in bit-times by
+// core.Machine.ParDo on the goroutine that owns the machine; see
+// DESIGN.md's "Simulated vs host parallelism" section.
 package par
 
 import (
@@ -19,47 +17,6 @@ import (
 // DefaultWorkers is the worker count used when a caller asks for 0:
 // one worker per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Do runs f(i) for every i in [0,n) across at most workers host
-// goroutines, splitting the index space into contiguous chunks (one
-// per worker, statically — the per-index work in this codebase is
-// uniform enough that work stealing would buy nothing). workers <= 1
-// or n <= 1 runs inline. Do returns when every call has returned.
-//
-// f must not panic across chunks' goroutine boundaries expecting the
-// caller's recover to see it; bodies in this repository report
-// failure through their machine's sticky error instead.
-func Do(n, workers int, f func(i int)) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	// Ceil division so the last chunk is never longer than the rest.
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Group is a bounded-concurrency error group, modelled on
 // golang.org/x/sync/errgroup (which is deliberately not vendored —

@@ -6,27 +6,6 @@ import (
 	"testing"
 )
 
-func TestDoCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
-		const n = 53
-		var hits [n]atomic.Int32
-		Do(n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d run %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestDoEmpty(t *testing.T) {
-	ran := false
-	Do(0, 4, func(int) { ran = true })
-	if ran {
-		t.Error("body ran for n=0")
-	}
-}
-
 func TestGroupFirstErrorWins(t *testing.T) {
 	var g Group
 	g.SetLimit(2)

@@ -19,7 +19,7 @@ import (
 // Building an N=1024 OTN takes 2N = 2048 trees of 2048 nodes each;
 // the per-tree constructor's ~9 allocations and re-derived latency
 // table made construction the dominant cost at that scale. core.New
-// shards the row/column halves of this call across par workers.
+// makes one call for the row trees and one for the column trees.
 func NewBulk(geom *layout.TreeGeom, cfg vlsi.Config, count int) ([]*Tree, error) {
 	return buildBulk(geom, cfg, false, count)
 }
