@@ -135,4 +135,7 @@ benchmod:
 # SIGKILL/recover cycles against the race-built server.
 # cachesmoke adds a few seconds: one more race-built otserve cycle
 # under a zipf workload with a byte-identity check on a cached answer.
-ci: build vet test benchmod race benchsmoke benchpacked benchincremental servesmoke cachesmoke chaossmoke
+# benchcmp (about 35s) gates every simulated metric exactly against
+# BENCH.json, allocs/op and bytes/op with slack, and peak RSS;
+# benchroutes checks compiled and interpreted routing agree exactly.
+ci: build vet test benchmod race benchsmoke benchcmp benchroutes benchpacked benchincremental servesmoke cachesmoke chaossmoke

@@ -108,12 +108,11 @@ func incrementalBench(n, bsz int) func(b *testing.B, sim simMap) {
 		fwd, inv := flipBatches(im, bsz)
 		var done orthotrees.Time
 		var affected int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		timed(b, func() {
 			_, done = inc.ApplyBatch(fwd, 0)
 			affected = inc.Stats().Affected
 			inc.ApplyBatch(inv, 0)
-		}
+		})
 		sim["incremental/bit-times"] = float64(done)
 		sim["incremental/affected"] = float64(affected)
 	}
@@ -129,10 +128,7 @@ func recomputeGridBench(n int) func(b *testing.B, sim simMap) {
 		}
 		g := benchImage(n).Graph()
 		var done orthotrees.Time
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, done = eng.Components(g, 0)
-		}
+		timed(b, func() { _, done = eng.Components(g, 0) })
 		sim["components/bit-times"] = float64(done)
 		sim["components/area"] = float64(eng.Area())
 	}

@@ -120,8 +120,13 @@ func New(budget int64) *Cache {
 //	                           MUST Resolve it on every exit path
 //	body == nil, !leader     — follower; wait on f.Done()
 //
-// Callers must treat a returned body as immutable.
+// Callers must treat a returned body as immutable. A nil *Cache is a
+// disabled layer: every lookup leads a nil flight, which Resolve
+// ignores.
 func (c *Cache) Lookup(key string) (body []byte, f *Flight, leader bool) {
+	if c == nil {
+		return nil, nil, true
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {

@@ -342,26 +342,6 @@ func (s *Server) enqueue(r *http.Request, spec *Job, probe bool) (*queuedJob, *s
 // and retry.
 func (s *Server) retryAfterFull() time.Duration { return 250 * time.Millisecond }
 
-// respond turns a delivered result into the HTTP answer: a report
-// (200, even for unrecovered supervised runs — the report carries
-// recovered=false and the error), or a 500 when execution produced
-// nothing at all.
-func respond(w http.ResponseWriter, res result, jobID string) {
-	if res.rep != nil {
-		writeJSON(w, http.StatusOK, res.rep)
-		return
-	}
-	msg := "execution produced no report"
-	if res.err != nil {
-		msg = res.err.Error()
-	}
-	if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
-		writeShed(w, http.StatusGatewayTimeout, "deadline", msg, jobID, 0)
-		return
-	}
-	writeShed(w, http.StatusInternalServerError, "failed", msg, jobID, 0)
-}
-
 // handleJobs is POST /jobs: a single job object → one report; an
 // array of jobs → an NDJSON stream of per-job envelopes in completion
 // order (each line flushed as its simulation finishes — results
@@ -390,20 +370,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := idemKey(r, spec.IdemKey)
-	if key != "" {
-		e, leader := s.claimIdem(r, key)
-		if e != nil {
-			s.writeStored(w, e)
-			return
-		}
-		if !leader {
-			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", spec.ID, 0)
-			return
-		}
+	if !s.claimKey(w, r, key, spec.ID) {
+		return
 	}
+	defer s.dedup.abort(key)
 	if err := spec.Validate(); err != nil {
 		s.metrics.add(func(m *Metrics) { m.invalid++ })
-		s.dedup.abort(key)
 		writeShed(w, http.StatusBadRequest, "invalid", err.Error(), spec.ID, 0)
 		return
 	}
@@ -411,50 +383,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	jerr := s.journalRecord(&walRecord{T: "job", Key: key, Job: &spec})
 	s.jmu.RUnlock()
 	if jerr != nil {
-		s.dedup.abort(key)
 		writeShed(w, http.StatusInternalServerError, "failed", jerr.Error(), spec.ID, 0)
 		return
 	}
-	probe, shed := s.gate(r, &spec)
-	if shed != nil {
-		// Shed before executing: release the key so the retry gets a
-		// real attempt (only executed outcomes are deduplicated).
-		s.dedup.abort(key)
-		writeShed(w, shed.status, shed.reason, shed.msg, spec.ID, shed.retry)
-		return
-	}
-
-	// Compute-once/serve-many: after the admission ladder, before the
-	// queue. A stored hit or a coalesced follower bypasses the pool —
-	// and the machine cache — entirely.
-	if s.resc != nil {
-		fp := spec.Fingerprint()
-		body, fl, leader := s.resc.Lookup(fp)
-		switch {
-		case body != nil:
-			s.releaseProbe(&spec, probe)
-			s.serveCachedBody(w, &spec, key, body, false)
-			return
-		case !leader:
-			s.releaseProbe(&spec, probe)
-			fo, ok := s.awaitFlight(r, &spec, fl)
-			if !ok {
-				s.dedup.abort(key)
-				writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", spec.ID, 0)
-				return
-			}
-			s.serveFollower(w, &spec, key, fo)
-			return
-		default:
-			fo := s.executeJob(r, &spec, probe)
-			s.resc.Resolve(fp, fl, fo, fo.body)
-			s.serveExecuted(w, &spec, key, fo)
-			return
-		}
-	}
-
-	fo := s.executeJob(r, &spec, probe)
-	s.serveExecuted(w, &spec, key, fo)
+	s.writeOutcome(w, &spec, key, s.wait(r, s.admitJob(r, &spec)))
 }
 
 // streamItem is one NDJSON line of an array submission.
@@ -466,8 +398,9 @@ type streamItem struct {
 	Report       *report.Report `json:"report,omitempty"`
 }
 
-// handleJobStream admits every job of an array, emitting shed
-// envelopes immediately and result envelopes as simulations complete.
+// handleJobStream admits every job of an array, emitting the lines
+// settled at admission (sheds and stored hits) immediately and the
+// rest as their simulations complete.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []byte) {
 	var specs []*Job
 	if err := json.Unmarshal(body, &specs); err != nil {
@@ -478,30 +411,18 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flush := func() {
+	emit := func(it streamItem) {
+		enc.Encode(it)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
 	}
 
-	type pending struct {
-		qj       *queuedJob
-		spec     *Job
-		id       string
-		fp       string           // cache fingerprint (leader only)
-		fl       *rescache.Flight // flight this job leads or follows
-		follower bool
-	}
-	shedItem := func(id string, shed *shedOutcome) streamItem {
-		return streamItem{JobID: id, Status: shed.reason, Error: shed.msg,
-			RetryAfterMS: shed.retry.Milliseconds()}
-	}
-	var admitted []pending
+	var open []*ticket
 	for _, spec := range specs {
 		if spec == nil {
 			s.metrics.add(func(m *Metrics) { m.invalid++ })
-			enc.Encode(streamItem{Status: "invalid", Error: "null job"})
-			flush()
+			emit(streamItem{Status: "invalid", Error: "null job"})
 			continue
 		}
 		if spec.Validate() == nil {
@@ -509,122 +430,26 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []
 			jerr := s.journalRecord(&walRecord{T: "job", Job: spec})
 			s.jmu.RUnlock()
 			if jerr != nil {
-				enc.Encode(streamItem{JobID: spec.ID, Status: "failed", Error: jerr.Error()})
-				flush()
+				emit(streamItem{JobID: spec.ID, Status: "failed", Error: jerr.Error()})
 				continue
 			}
 		}
-		probe, shed := s.gate(r, spec)
-		if shed != nil {
-			enc.Encode(shedItem(spec.ID, shed))
-			flush()
+		t := s.admitJob(r, spec)
+		if t.out != nil {
+			emit(streamOutcome(spec.ID, *t.out))
 			continue
 		}
-		if s.resc != nil {
-			fp := spec.Fingerprint()
-			body, fl, leader := s.resc.Lookup(fp)
-			switch {
-			case body != nil:
-				s.releaseProbe(spec, probe)
-				enc.Encode(streamItem{JobID: spec.ID, Status: "ok",
-					Report: cachedStreamReport(body, spec.ID, false)})
-				flush()
-				continue
-			case !leader:
-				s.releaseProbe(spec, probe)
-				admitted = append(admitted, pending{spec: spec, id: spec.ID, fl: fl, follower: true})
-				continue
-			}
-			qj, shed := s.enqueue(r, spec, probe)
-			if shed != nil {
-				s.resc.Resolve(fp, fl, flightOutcome{shed: shed}, nil)
-				enc.Encode(shedItem(spec.ID, shed))
-				flush()
-				continue
-			}
-			admitted = append(admitted, pending{qj: qj, spec: spec, id: spec.ID, fp: fp, fl: fl})
-			continue
-		}
-		qj, shed := s.enqueue(r, spec, probe)
-		if shed != nil {
-			enc.Encode(shedItem(spec.ID, shed))
-			flush()
-			continue
-		}
-		admitted = append(admitted, pending{qj: qj, spec: spec, id: spec.ID})
+		open = append(open, t)
 	}
 
 	// Fan results into one channel so lines stream in completion
 	// order, not submission order.
-	type done struct {
-		item streamItem
+	ch := make(chan streamItem, len(open))
+	for _, t := range open {
+		go func(t *ticket) { ch <- streamOutcome(t.spec.ID, s.wait(r, t)) }(t)
 	}
-	ch := make(chan done, len(admitted))
-	for _, p := range admitted {
-		go func(p pending) {
-			if p.follower {
-				fo, ok := s.awaitFlight(r, p.spec, p.fl)
-				if !ok {
-					ch <- done{streamItem{JobID: p.id, Status: "deadline", Error: "deadline exceeded"}}
-					return
-				}
-				ch <- done{followerItem(p.id, fo)}
-				return
-			}
-			res, ok := awaitResult(p.qj)
-			if !ok {
-				if res, ok = settleDeadline(p.qj, time.Millisecond); !ok {
-					if p.fl != nil {
-						s.resc.Resolve(p.fp, p.fl, flightOutcome{shed: &shedOutcome{
-							status: http.StatusGatewayTimeout, reason: "deadline", msg: "deadline exceeded"}}, nil)
-					}
-					ch <- done{streamItem{JobID: p.id, Status: "deadline", Error: "deadline exceeded"}}
-					return
-				}
-			}
-			if p.fl != nil {
-				fo := flightOutcome{res: res}
-				if res.rep != nil && res.err == nil {
-					fo.body = canonicalBody(res.rep)
-				}
-				s.resc.Resolve(p.fp, p.fl, fo, fo.body)
-			}
-			item := streamItem{JobID: p.id, Status: "ok", Report: res.rep}
-			if res.rep == nil {
-				item.Status = "failed"
-				if res.err != nil {
-					item.Error = res.err.Error()
-				}
-			}
-			ch <- done{item}
-		}(p)
-	}
-	for range admitted {
-		d := <-ch
-		enc.Encode(d.item)
-		flush()
-	}
-}
-
-// followerItem renders a coalesced follower's stream envelope from
-// its leader's flight outcome.
-func followerItem(id string, fo flightOutcome) streamItem {
-	switch {
-	case fo.body != nil:
-		return streamItem{JobID: id, Status: "ok", Report: cachedStreamReport(fo.body, id, true)}
-	case fo.shed != nil:
-		return streamItem{JobID: id, Status: fo.shed.reason, Error: fo.shed.msg,
-			RetryAfterMS: fo.shed.retry.Milliseconds()}
-	default:
-		res := relayResult(fo.res, id)
-		item := streamItem{JobID: id, Status: "failed", Report: res.rep}
-		if res.rep != nil {
-			item.Status = "ok"
-		}
-		if res.err != nil {
-			item.Error = res.err.Error()
-		}
-		return item
+	for range open {
+		emit(<-ch)
 	}
 }
 

@@ -139,40 +139,49 @@ func (s *Server) journalRecord(rec *walRecord) error {
 	return nil
 }
 
-// claimIdem resolves an idempotency key: a published entry answers
-// immediately, a pending one blocks until its leader settles (bounded
-// by the request context), and an unclaimed key makes the caller the
-// leader. Returns (entry, false) on a hit, (nil, true) when the caller
-// must execute (and later finish or abort the key), and (nil, false)
-// when the context died while waiting.
-func (s *Server) claimIdem(r *http.Request, key string) (*dentry, bool) {
+// claimKey claims a request's idempotency key. It returns true when
+// the caller holds the key (or sent none) and must answer the request
+// itself; the caller then defers s.dedup.abort(key), which releases a
+// key its attempt never published so the retry gets a real attempt.
+// It returns false when it has already answered: with the key's
+// published bytes, verbatim, marked by the Idempotent-Replay header so
+// clients (and the fairness ledger in otload) can count hits without
+// parsing bodies, or with a 504 when the request's context ended while
+// another holder of the key was still executing.
+func (s *Server) claimKey(w http.ResponseWriter, r *http.Request, key, jobID string) bool {
+	if key == "" {
+		return true
+	}
 	for {
 		e, leader, wait := s.dedup.begin(key)
-		if leader {
-			return nil, true
-		}
-		if e != nil && wait == nil {
-			return e, false
+		switch {
+		case leader:
+			return true
+		case wait == nil:
+			w.Header().Set("Idempotent-Replay", "true")
+			s.metrics.add(func(m *Metrics) { m.dedupHits++ })
+			writeRendered(w, e.status, e.body)
+			return false
 		}
 		select {
 		case <-wait:
-			if settled := s.dedup.settled(key); settled != nil {
-				return settled, false
-			}
-			// Leader aborted without executing; retry for leadership.
+			// Published or aborted: claim again to find out which.
 		case <-r.Context().Done():
-			return nil, false
+			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", jobID, 0)
+			return false
 		}
 	}
 }
 
-// writeStored answers a dedup hit with the original response bytes,
-// verbatim, plus a header marking the replay so clients (and the
-// fairness ledger in otload) can count hits without parsing bodies.
-func (s *Server) writeStored(w http.ResponseWriter, e *dentry) {
-	w.Header().Set("Idempotent-Replay", "true")
-	s.metrics.add(func(m *Metrics) { m.dedupHits++ })
-	writeRendered(w, e.status, e.body)
+// publish journals a keyed request's executed response and releases
+// it to the key's waiters and retries; without a key it does nothing.
+// Callers hold jmu for reading.
+func (s *Server) publish(key string, status int, body []byte) {
+	if key == "" {
+		return
+	}
+	s.journalRecord(&walRecord{T: "result", Key: key, Status: status, Body: body})
+	s.dedup.finish(key, status, body, false)
 }
 
 // CompactNow captures the full service state as a snapshot and

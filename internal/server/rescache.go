@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -10,13 +12,16 @@ import (
 	"repro/internal/rescache"
 )
 
-// This file wires the compute-once/serve-many result cache
-// (internal/rescache) into the job handlers. Placement in the ladder
-// is deliberate: the cache is consulted AFTER draining/validation/
-// breaker/fairness — so shed semantics are identical with the cache
-// on or off — and BEFORE the bounded queue and machine checkout, so
-// stored hits and coalesced followers never hold a worker slot or a
-// machine.
+// This file is the one job path every submission takes, single or
+// array: admitJob gates, looks the spec up in the compute-once/
+// serve-many result cache (internal/rescache) and enqueues; wait
+// blocks on the job's own execution or its leader's flight; served
+// relabels the outcome for the request answering with it. Placement in
+// the ladder is deliberate: the cache is consulted AFTER draining/
+// validation/breaker/fairness — so shed semantics are identical with
+// the cache on or off — and BEFORE the bounded queue and machine
+// checkout, so stored hits and coalesced followers never hold a worker
+// slot or a machine.
 //
 // Orthogonality to idempotency dedup: the dedup table answers
 // *retries of one client's key* with the exact bytes that client was
@@ -24,180 +29,214 @@ import (
 // *any client's identical spec* with canonical bytes that each
 // response re-labels with its own job_id and a cached/coalesced mark.
 // A keyed request that hits the result cache still journals its
-// result record and publishes its (patched) bytes under its key, so
+// result record and publishes its (relabelled) bytes under its key, so
 // the two layers compose.
 
-// flightOutcome is what a leader publishes on its flight: the
-// canonical response bytes when execution succeeded, or the refusal /
-// raw result followers must relay when it did not.
-type flightOutcome struct {
-	body []byte       // canonical bytes; non-nil iff a cacheable success
-	res  result       // the executed result (error relay)
-	shed *shedOutcome // set when the leader was shed after gating
+// Serving marks: how an outcome reached the request answering with
+// it, also sent as the X-Result-Cache header. An execution of the
+// request's own carries no mark.
+const (
+	markHit       = "hit"
+	markCoalesced = "coalesced"
+)
+
+// outcome is how one admitted job ended: a refusal, or the executed
+// result with its canonical bytes when it is cacheable.
+type outcome struct {
+	shed *shedOutcome
+	res  result // the executed result (relayed to followers on failure)
+	body []byte // canonical bytes; non-nil iff a cacheable success
+	mark string // "", markHit or markCoalesced
 }
 
-// executeJob runs one gated job through the queue and waits for its
-// result, folding every terminal state into a flightOutcome.
-func (s *Server) executeJob(r *http.Request, spec *Job, probe bool) flightOutcome {
+// deadlineShed is the refusal of a job whose deadline (or request)
+// ended before its answer arrived.
+var deadlineShed = &shedOutcome{http.StatusGatewayTimeout, "deadline", "deadline exceeded", 0}
+
+// ticket is one admitted job's claim on its answer: settled at
+// admission (a shed or a stored hit), a flight to follow, or a queued
+// execution this job leads.
+type ticket struct {
+	spec *Job
+	fp   string
+	fl   *rescache.Flight // the flight this job leads (qj != nil) or follows
+	qj   *queuedJob
+	out  *outcome // non-nil when admission already settled the job
+}
+
+// admitJob runs one job through the admission ladder, the result-cache
+// lookup and the bounded queue. It never blocks.
+func (s *Server) admitJob(r *http.Request, spec *Job) *ticket {
+	t := &ticket{spec: spec}
+	probe, shed := s.gate(r, spec)
+	if shed != nil {
+		t.out = &outcome{shed: shed}
+		return t
+	}
+	t.fp = spec.Fingerprint()
+	body, fl, leader := s.resc.Lookup(t.fp)
+	t.fl = fl
+	if !leader {
+		// A stored hit or a coalesced follower bypasses the pool — and
+		// the machine cache — entirely.
+		s.releaseProbe(spec, probe)
+		if body != nil {
+			t.out = &outcome{body: body, mark: markHit}
+		}
+		return t
+	}
 	qj, shed := s.enqueue(r, spec, probe)
 	if shed != nil {
-		return flightOutcome{shed: shed}
+		o := s.resolve(t, outcome{shed: shed})
+		t.out = &o
+		return t
 	}
-	res, ok := awaitResult(qj)
+	t.qj = qj
+	return t
+}
+
+// wait blocks until the ticket's job has an outcome: its own execution
+// (resolving the flight it leads) or, for a follower, its leader's,
+// bounded by the job's deadline and the request's context.
+func (s *Server) wait(r *http.Request, t *ticket) outcome {
+	if t.out != nil {
+		return *t.out
+	}
+	if t.qj == nil {
+		var dl <-chan time.Time
+		if d := t.spec.Deadline(); d > 0 {
+			tm := time.NewTimer(d)
+			defer tm.Stop()
+			dl = tm.C
+		}
+		select {
+		case <-t.fl.Done():
+			v, _ := t.fl.Value()
+			o := v.(outcome)
+			o.mark = markCoalesced
+			return o
+		case <-dl:
+		case <-r.Context().Done():
+		}
+		return outcome{shed: deadlineShed}
+	}
+	res, ok := awaitResult(t.qj)
 	if !ok {
 		// Deadline fired while we waited; give a raced delivery one
 		// grace read before conceding 504.
-		if res, ok = settleDeadline(qj, time.Millisecond); !ok {
-			return flightOutcome{shed: &shedOutcome{
-				status: http.StatusGatewayTimeout, reason: "deadline", msg: "deadline exceeded"}}
+		if res, ok = settleDeadline(t.qj, time.Millisecond); !ok {
+			return s.resolve(t, outcome{shed: deadlineShed})
 		}
 	}
-	fo := flightOutcome{res: res}
-	if res.rep != nil && res.err == nil {
-		fo.body = canonicalBody(res.rep)
-	}
-	return fo
+	return s.resolve(t, outcome{res: res})
 }
 
-// awaitFlight blocks a coalesced follower on its leader's flight,
-// bounded by the follower's own deadline and request context.
-func (s *Server) awaitFlight(r *http.Request, spec *Job, fl *rescache.Flight) (flightOutcome, bool) {
-	var dl <-chan time.Time
-	if d := spec.Deadline(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		dl = t.C
+// resolve hands a leader's outcome to its flight's followers and, for
+// a cacheable success, stores its canonical bytes. With the result
+// cache disabled there is no flight and nothing to render.
+func (s *Server) resolve(t *ticket, o outcome) outcome {
+	if t.fl == nil {
+		return o
 	}
-	select {
-	case <-fl.Done():
-		v, _ := fl.Value()
-		fo, ok := v.(flightOutcome)
-		return fo, ok
-	case <-dl:
-		return flightOutcome{}, false
-	case <-r.Context().Done():
-		return flightOutcome{}, false
+	if o.res.rep != nil && o.res.err == nil {
+		o.body = canonicalBody(o.res.rep)
 	}
+	s.resc.Resolve(t.fp, t.fl, o, o.body)
+	return o
 }
 
-// serveExecuted writes a leader's (or, cache off, any executed job's)
-// outcome — exactly the response the pre-cache server wrote.
-func (s *Server) serveExecuted(w http.ResponseWriter, spec *Job, key string, fo flightOutcome) {
-	if fo.shed != nil {
-		s.dedup.abort(key)
-		writeShed(w, fo.shed.status, fo.shed.reason, fo.shed.msg, spec.ID, fo.shed.retry)
-		return
-	}
-	if key != "" && fo.res.rep != nil {
-		body := renderJSON(fo.res.rep)
-		s.jmu.RLock()
-		s.journalRecord(&walRecord{T: "result", Key: key, Status: http.StatusOK, Body: body})
-		s.jmu.RUnlock()
-		s.dedup.finish(key, http.StatusOK, body, false)
-		writeRendered(w, http.StatusOK, body)
-		return
-	}
-	s.dedup.abort(key)
-	respond(w, fo.res, spec.ID)
-}
-
-// serveCachedBody answers a request from canonical cached bytes: the
-// body is re-labeled with this request's job id and its cache mark,
-// the X-Result-Cache header names how it was served, and a keyed
-// request still journals and publishes its bytes for idempotent
-// retries.
-func (s *Server) serveCachedBody(w http.ResponseWriter, spec *Job, key string, body []byte, coalesced bool) {
-	rendered, err := patchCachedBody(body, spec.ID, coalesced)
-	if err != nil {
-		// Corrupt cached bytes would be a bug; fail the request loudly
-		// rather than serve garbage.
-		s.dedup.abort(key)
-		writeShed(w, http.StatusInternalServerError, "failed", err.Error(), spec.ID, 0)
-		return
-	}
-	mark := "hit"
-	if coalesced {
-		mark = "coalesced"
-	}
-	w.Header().Set("X-Result-Cache", mark)
-	if key != "" {
-		s.jmu.RLock()
-		s.journalRecord(&walRecord{T: "result", Key: key, Status: http.StatusOK, Body: rendered})
-		s.jmu.RUnlock()
-		s.dedup.finish(key, http.StatusOK, rendered, false)
-	}
-	writeRendered(w, http.StatusOK, rendered)
-}
-
-// serveFollower relays a leader's outcome to a coalesced follower.
-func (s *Server) serveFollower(w http.ResponseWriter, spec *Job, key string, fo flightOutcome) {
+// served relabels an unrefused outcome for the request answering with
+// it: an execution's own result as is; stored or coalesced canonical
+// bytes decoded with this job id and the serving mark; a leader's
+// failure relayed with this job id and the coalesced mark.
+func served(o outcome, jobID string) (*report.Report, error) {
 	switch {
-	case fo.body != nil:
-		s.serveCachedBody(w, spec, key, fo.body, true)
-	case fo.shed != nil:
-		s.dedup.abort(key)
-		writeShed(w, fo.shed.status, fo.shed.reason, fo.shed.msg, spec.ID, fo.shed.retry)
-	default:
-		s.dedup.abort(key)
-		respond(w, relayResult(fo.res, spec.ID), spec.ID)
+	case o.mark == "":
+		return o.res.rep, o.res.err
+	case o.body != nil:
+		var rep report.Report
+		if err := json.Unmarshal(o.body, &rep); err != nil {
+			// Corrupt cached bytes would be a bug; fail the job loudly
+			// rather than serve garbage.
+			return nil, fmt.Errorf("result cache: stored bytes: %w", err)
+		}
+		rep.JobID = jobID
+		rep.Cached = o.mark == markHit
+		rep.Coalesced = o.mark == markCoalesced
+		return &rep, nil
+	case o.res.rep == nil:
+		return nil, o.res.err
 	}
-}
-
-// relayResult re-labels a leader's executed result for a follower:
-// same simulated content and error, the follower's job id, and the
-// coalesced mark (the follower did not execute).
-func relayResult(res result, jobID string) result {
-	if res.rep == nil {
-		return res
-	}
-	rep := *res.rep
+	rep := *o.res.rep
 	rep.JobID = jobID
 	rep.Coalesced = true
-	return result{rep: &rep, err: res.err}
+	return &rep, o.res.err
+}
+
+// writeOutcome is a single job's HTTP answer. A report is 200, even
+// for unrecovered supervised runs (the report carries recovered=false
+// and the error); no report is a 500, or a 504 when the job's context
+// ended.
+func (s *Server) writeOutcome(w http.ResponseWriter, spec *Job, key string, o outcome) {
+	if o.shed != nil {
+		writeShed(w, o.shed.status, o.shed.reason, o.shed.msg, spec.ID, o.shed.retry)
+		return
+	}
+	rep, err := served(o, spec.ID)
+	if rep == nil {
+		msg := "execution produced no report"
+		if err != nil {
+			msg = err.Error()
+		}
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			writeShed(w, http.StatusGatewayTimeout, "deadline", msg, spec.ID, 0)
+			return
+		}
+		writeShed(w, http.StatusInternalServerError, "failed", msg, spec.ID, 0)
+		return
+	}
+	body := renderJSON(rep)
+	if err == nil && o.mark != "" {
+		w.Header().Set("X-Result-Cache", o.mark)
+	}
+	// A relayed failure is its leader's answer, not this request's, so
+	// it is not published under the key.
+	if key != "" && (err == nil || o.mark == "") {
+		s.jmu.RLock()
+		s.publish(key, http.StatusOK, body)
+		s.jmu.RUnlock()
+	}
+	writeRendered(w, http.StatusOK, body)
+}
+
+// streamOutcome is one job's NDJSON line. A job's own line carries its
+// report without the error text it may also hold; a follower relaying
+// its leader's failure carries both.
+func streamOutcome(jobID string, o outcome) streamItem {
+	if o.shed != nil {
+		return streamItem{JobID: jobID, Status: o.shed.reason, Error: o.shed.msg,
+			RetryAfterMS: o.shed.retry.Milliseconds()}
+	}
+	rep, err := served(o, jobID)
+	it := streamItem{JobID: jobID, Status: "ok", Report: rep}
+	if rep == nil {
+		it.Status = "failed"
+	}
+	if err != nil && (rep == nil || o.mark != "") {
+		it.Error = err.Error()
+	}
+	return it
 }
 
 // canonicalBody renders a successful report stripped of per-request
 // transport identity — job id and every serving-mode mark — so one
-// stored entry can answer any client. patchCachedBody re-labels it
-// per response; the round trip is byte-exact for every simulated
-// field (report.Same is the pinned equivalence).
+// stored entry can answer any client. served re-labels it per
+// response; the round trip is byte-exact for every simulated field
+// (report.Same is the pinned equivalence).
 func canonicalBody(rep *report.Report) []byte {
 	c := *rep
 	c.JobID = ""
 	c.Replayed, c.Deduped = false, false
 	c.Cached, c.Coalesced = false, false
 	return renderJSON(&c)
-}
-
-// patchCachedBody turns canonical cached bytes into one response's
-// bytes: unmarshal, re-label, re-render with the same encoder that
-// produced the original.
-func patchCachedBody(body []byte, jobID string, coalesced bool) ([]byte, error) {
-	var rep report.Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("result cache: stored bytes: %w", err)
-	}
-	rep.JobID = jobID
-	if coalesced {
-		rep.Coalesced = true
-	} else {
-		rep.Cached = true
-	}
-	return renderJSON(&rep), nil
-}
-
-// cachedStreamReport is patchCachedBody for the NDJSON stream, which
-// embeds the report object instead of raw bytes.
-func cachedStreamReport(body []byte, jobID string, coalesced bool) *report.Report {
-	var rep report.Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil
-	}
-	rep.JobID = jobID
-	if coalesced {
-		rep.Coalesced = true
-	} else {
-		rep.Cached = true
-	}
-	return &rep
 }

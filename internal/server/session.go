@@ -203,20 +203,12 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		spec.Client = r.Header.Get("X-Client-ID")
 	}
 	key := idemKey(r, "")
-	if key != "" {
-		e, leader := s.claimIdem(r, key)
-		if e != nil {
-			s.writeStored(w, e)
-			return
-		}
-		if !leader {
-			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", "", 0)
-			return
-		}
+	if !s.claimKey(w, r, key, "") {
+		return
 	}
+	defer s.dedup.abort(key)
 	if ok, retry := s.fairness.Allow(spec.Client); !ok {
 		s.metrics.add(func(m *Metrics) { m.shedRateLimited++ })
-		s.dedup.abort(key)
 		writeShed(w, http.StatusTooManyRequests, "rate_limited",
 			fmt.Sprintf("client %q over rate", spec.Client), "", retry)
 		return
@@ -226,7 +218,6 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if len(s.sess.byID)+s.sess.reserved >= s.cfg.MaxSessions {
 		s.sess.mu.Unlock()
 		s.metrics.add(func(m *Metrics) { m.shedSessionsFull++ })
-		s.dedup.abort(key)
 		writeShed(w, http.StatusTooManyRequests, "sessions_full",
 			fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions), "", s.retryAfterFull())
 		return
@@ -248,7 +239,6 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		s.sess.mu.Lock()
 		s.sess.reserved--
 		s.sess.mu.Unlock()
-		s.dedup.abort(key)
 		writeShed(w, http.StatusInternalServerError, "failed", err.Error(), "", 0)
 		return
 	}
@@ -264,16 +254,12 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		// Journaled intent without a session: creation fails the same
 		// way on replay, so recovery skips it; the key is released so a
 		// retry gets a real attempt.
-		s.dedup.abort(key)
 		writeShed(w, status, "failed", msg, "", 0)
 		return
 	}
 	s.metrics.add(func(m *Metrics) { m.sessionsCreated++ })
 	out := renderJSON(rep)
-	if key != "" {
-		s.journalRecord(&walRecord{T: "result", Key: key, Status: http.StatusOK, Body: out})
-		s.dedup.finish(key, http.StatusOK, out, false)
-	}
+	s.publish(key, http.StatusOK, out)
 	writeRendered(w, http.StatusOK, out)
 }
 
@@ -438,21 +424,13 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // recovery never resurrects a closed session.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Session) {
 	key := idemKey(r, "")
-	if key != "" {
-		e, leader := s.claimIdem(r, key)
-		if e != nil {
-			s.writeStored(w, e)
-			return
-		}
-		if !leader {
-			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", "", 0)
-			return
-		}
+	if !s.claimKey(w, r, key, "") {
+		return
 	}
+	defer s.dedup.abort(key)
 	s.jmu.RLock()
 	defer s.jmu.RUnlock()
 	if err := s.journalRecord(&walRecord{T: "delete", SID: sess.id, Key: key}); err != nil {
-		s.dedup.abort(key)
 		writeShed(w, http.StatusInternalServerError, "failed", err.Error(), "", 0)
 		return
 	}
@@ -462,10 +440,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Sess
 	s.releaseSession(sess)
 	s.metrics.add(func(m *Metrics) { m.sessionsClosed++ })
 	body := renderJSON(map[string]string{"status": "closed", "session_id": sess.id})
-	if key != "" {
-		s.journalRecord(&walRecord{T: "result", Key: key, Status: http.StatusOK, Body: body})
-		s.dedup.finish(key, http.StatusOK, body, false)
-	}
+	s.publish(key, http.StatusOK, body)
 	writeRendered(w, http.StatusOK, body)
 }
 
@@ -539,20 +514,12 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request, sess *Ses
 		return
 	}
 	key := idemKey(r, "")
-	if key != "" {
-		e, leader := s.claimIdem(r, key)
-		if e != nil {
-			s.writeStored(w, e)
-			return
-		}
-		if !leader {
-			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", "", 0)
-			return
-		}
+	if !s.claimKey(w, r, key, "") {
+		return
 	}
+	defer s.dedup.abort(key)
 	if s.pool.Draining() {
 		s.metrics.add(func(m *Metrics) { m.rejectedDrain++ })
-		s.dedup.abort(key)
 		writeShed(w, http.StatusServiceUnavailable, "draining", "server is draining", "", time.Second)
 		return
 	}
@@ -565,30 +532,24 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request, sess *Ses
 	sess.lock.Lock()
 	defer sess.lock.Unlock()
 	if sess.closed {
-		s.dedup.abort(key)
 		writeShed(w, http.StatusGone, "invalid", "session closed", "", 0)
 		return
 	}
 	if sess.failed != nil {
-		s.dedup.abort(key)
 		writeShed(w, http.StatusConflict, "failed",
 			fmt.Sprintf("session failed: %v", sess.failed), "", 0)
 		return
 	}
 	if err := s.journalRecord(&walRecord{T: "update", SID: sess.id, Key: key, Req: &req}); err != nil {
-		s.dedup.abort(key)
 		writeShed(w, http.StatusInternalServerError, "failed", err.Error(), "", 0)
 		return
 	}
 
 	rep, status := s.applyUpdateLocked(sess, &req)
 	out := renderJSON(rep)
-	if key != "" {
-		// Both 200 and the deterministic 500 are executed outcomes:
-		// journal the bytes and publish them for retries.
-		s.journalRecord(&walRecord{T: "result", Key: key, Status: status, Body: out})
-		s.dedup.finish(key, status, out, false)
-	}
+	// Both 200 and the deterministic 500 are executed outcomes: journal
+	// the bytes and publish them for retries.
+	s.publish(key, status, out)
 	writeRendered(w, status, out)
 }
 

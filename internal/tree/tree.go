@@ -80,10 +80,9 @@ type Tree struct {
 
 	// scratch holds the per-operation work buffers, sized once in
 	// build and reused on every call so the steady-state router
-	// allocates nothing. A Tree is owned by exactly one simulated
-	// row/column vector, and core.Machine's worker pool hands each
-	// vector to exactly one host goroutine at a time, so the buffers
-	// need no locking. Slices handed back to callers (Broadcast's
+	// allocates nothing. A Tree is owned by the goroutine that owns
+	// its machine, so the buffers need no locking. Slices handed back
+	// to callers (Broadcast's
 	// perLeaf) are valid only until the tree's next operation; every
 	// caller in this repository consumes them before issuing one.
 	scratch struct {
