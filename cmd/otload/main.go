@@ -68,7 +68,7 @@ func main() {
 	minOK := flag.Int("minok", 0, "exit 1 unless at least this many jobs completed")
 	session := flag.Bool("session", false, "replay one streamed session instead of open-loop jobs")
 	grid := flag.Bool("grid", false, "session: pixel-image workload (n must be a perfect square)")
-	packed := flag.Bool("packed", false, "session: run on the machine-free packed engine")
+	packed := flag.Bool("packed", false, "session: set the spec's packed field (kept for compatibility; healthy sessions run packed regardless)")
 	batches := flag.Int("batches", 32, "session: update batches to stream")
 	batchSize := flag.Int("batchsize", 4, "session: generated updates per batch")
 	retries := flag.Int("retries", 0, "re-attempts per request on 429/503 or transport error (Retry-After honored, idempotency keys attached)")

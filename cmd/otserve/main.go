@@ -16,7 +16,7 @@
 //	otserve -pprof localhost:6060         # net/http/pprof side listener
 //
 //	curl -s localhost:8080/jobs -d '{"alg":"sort","n":16,"seed":1}'
-//	curl -s localhost:8080/jobs -d '{"alg":"cc","n":1024,"seed":1,"packed":true}'
+//	curl -s localhost:8080/jobs -d '{"alg":"cc","n":1024,"seed":1}'
 //	curl -s localhost:8080/metrics
 //
 // Identical specs are served compute-once: the first execution's bytes
@@ -31,14 +31,16 @@
 // per request:
 //
 //	otserve -maxsessions 16 -sessionttl 5m
-//	curl -s localhost:8080/sessions -d '{"n":256,"seed":1,"grid":true,"packed":true}'
+//	curl -s localhost:8080/sessions -d '{"n":256,"seed":1,"grid":true}'
 //	curl -s localhost:8080/sessions/s-1/updates -d '{"count":4}'
 //	curl -s -X DELETE localhost:8080/sessions/s-1
 //
-// Healthy Boolean jobs may set "packed": true to run on the machine-
-// free bit-packed engine: the report is byte-identical to the scalar
-// path's, no machine is checked out, and the size bound rises to
-// n=1024 (scalar jobs stop at 256). /metrics reports packed_jobs and
+// Every healthy Boolean ("cc") job and session, without faults or
+// events, runs on the machine-free bit-packed engine: the report is
+// byte-identical to the scalar path's, no machine is checked out, and
+// the size bound rises to n=1024 (sort, faulty and supervised runs stop
+// at 256). The "packed" request field is accepted for compatibility
+// and chooses nothing. /metrics reports packed_jobs and
 // packed_lane_occupancy.
 package main
 

@@ -238,3 +238,22 @@ func FuzzPackedDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestGnpBitsMatchesPackedGnp pins the packed G(n, p) draw the server's
+// packed jobs use: GnpBits must give exactly PackGraph(Gnp(...)) and
+// leave the RNG where Gnp leaves it.
+func TestGnpBitsMatchesPackedGnp(t *testing.T) {
+	for _, n := range []int{64, 1024} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			p := 2.0 / float64(n)
+			ra, rb := workload.NewRNG(seed), workload.NewRNG(seed)
+			want := PackGraph(ra.Gnp(n, p))
+			if got := rb.GnpBits(n, p); !got.Equal(want) {
+				t.Fatalf("n=%d seed=%d: GnpBits differs from PackGraph(Gnp)", n, seed)
+			}
+			if a, b := ra.Uint64(), rb.Uint64(); a != b {
+				t.Fatalf("n=%d seed=%d: next draw %d after Gnp, %d after GnpBits", n, seed, a, b)
+			}
+		}
+	}
+}

@@ -117,6 +117,12 @@ func (e *Engine) Components(g *workload.Graph, rel vlsi.Time) ([]int64, vlsi.Tim
 	return e.componentsFrom(PackGraph(g), rel)
 }
 
+// ComponentsPacked is Components over an already packed adjacency
+// (workload.RNG.GnpBits draws one directly); adj is only read.
+func (e *Engine) ComponentsPacked(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
+	return e.componentsFrom(adj, rel)
+}
+
 // componentsFrom is the engine core over a packed adjacency.
 func (e *Engine) componentsFrom(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
 	n := e.K

@@ -1,0 +1,117 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestEngineChoice pins the one engine decision (packedEngine) over
+// alg × faults × events × flag × network: every healthy cc job and
+// session runs packed whatever the flag says, and sort, faulty and
+// supervised runs stay on the scalar machine. Each row checks the
+// class mode, whether the job raised packed_jobs, and whether the
+// equivalent session checked out a machine.
+func TestEngineChoice(t *testing.T) {
+	one := 1
+	rows := []struct {
+		job    Job
+		mode   string
+		packed bool
+	}{
+		{Job{Alg: "sort"}, "plain", false},
+		{Job{Alg: "sort", Network: "scaled"}, "plain", false},
+		{Job{Alg: "sort", Faults: 1}, "faulty", false},
+		{Job{Alg: "sort", Events: &one}, "supervised", false},
+		{Job{Alg: "cc"}, "packed", true},
+		{Job{Alg: "cc", Packed: true}, "packed", true},
+		{Job{Alg: "cc", Network: "scaled"}, "packed", true},
+		{Job{Alg: "cc", Network: "scaled", Packed: true}, "packed", true},
+		{Job{Alg: "cc", Model: "const"}, "packed", true},
+		{Job{Alg: "cc", Faults: 1}, "faulty", false},
+		{Job{Alg: "cc", Network: "scaled", Faults: 1}, "faulty", false},
+		{Job{Alg: "cc", Events: &one}, "supervised", false},
+		{Job{Alg: "cc", Events: new(int)}, "supervised", false},
+	}
+	s := New(Config{Workers: 2, MaxSessions: 16})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	for i, row := range rows {
+		j := row.job
+		j.N, j.Seed = 16, uint64(100+i)
+		name := fmt.Sprintf("%d/%s", i, j.Class())
+		t.Run(name, func(t *testing.T) {
+			if mode := j.Class()[strings.LastIndex(j.Class(), "/")+1:]; mode != row.mode {
+				t.Fatalf("class mode %q, want %q", mode, row.mode)
+			}
+			before := s.Metrics().PackedJobs
+			postJob(t, ts, &j)
+			if rose := s.Metrics().PackedJobs > before; rose != row.packed {
+				t.Fatalf("packed_jobs rose = %v, want %v", rose, row.packed)
+			}
+			if j.Alg != "cc" {
+				return
+			}
+			spec := &SessionSpec{N: j.N, Seed: j.Seed, Network: j.Network, Model: j.Model,
+				Packed: j.Packed, Faults: j.Faults}
+			if j.Events != nil {
+				spec.Events = *j.Events
+			}
+			if spec.Faults == 0 && spec.Events == 0 && !row.packed {
+				return // events=0 supervises a job but leaves a session healthy
+			}
+			rep := openSession(t, ts, spec)
+			sess := s.lookupSession(rep.SessionID)
+			sess.lock.Lock()
+			machine := sess.m != nil
+			sess.lock.Unlock()
+			if machine == row.packed {
+				t.Fatalf("session checked out a machine = %v, want %v", machine, !row.packed)
+			}
+			resp, err := ts.Client().Get(ts.URL + "/sessions/" + rep.SessionID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var info sessionInfo
+			err = json.NewDecoder(resp.Body).Decode(&info)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Packed != row.packed {
+				t.Fatalf("GET /sessions reports packed = %v, want %v", info.Packed, row.packed)
+			}
+		})
+	}
+
+	// The size bound follows the engine.
+	for _, c := range []struct {
+		v  interface{ Validate() error }
+		ok bool
+	}{
+		{&Job{Alg: "cc", N: PackedMaxN}, true},
+		{&Job{Alg: "cc", N: PackedMaxN, Faults: 1}, false},
+		{&Job{Alg: "cc", N: PackedMaxN, Events: new(int)}, false},
+		{&Job{Alg: "sort", N: PackedMaxN}, false},
+		{&Job{Alg: "cc", N: 2 * PackedMaxN}, false},
+		{&SessionSpec{N: PackedMaxN}, true},
+		{&SessionSpec{N: PackedMaxN, Events: 1}, false},
+	} {
+		if err := c.v.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate() = %v, want ok = %v", c.v, err, c.ok)
+		}
+	}
+	if status, body := postJSON(t, ts, "/jobs", &Job{Alg: "cc", N: 512, Seed: 1}); status != http.StatusOK {
+		t.Fatalf("unflagged healthy cc n=512: status %d: %s", status, body)
+	}
+}

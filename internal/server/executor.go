@@ -67,7 +67,7 @@ func (e *Executor) Run(ctx context.Context, j *Job) (*report.Report, error) {
 	if j.Supervised() {
 		return e.runSupervised(ctx, j)
 	}
-	if j.usesPacked() {
+	if j.packedEngine() {
 		return e.runPacked(ctx, j)
 	}
 	return e.runPlain(ctx, j)
@@ -87,8 +87,8 @@ func (e *Executor) runPacked(ctx context.Context, j *Job) (*report.Report, error
 	if err != nil {
 		return nil, err
 	}
-	g := workload.NewRNG(j.Seed).Gnp(j.N, 2.0/float64(j.N))
-	_, elapsed := eng.Components(g, 0)
+	adj := workload.NewRNG(j.Seed).GnpBits(j.N, 2.0/float64(j.N))
+	_, elapsed := eng.ComponentsPacked(adj, 0)
 	metric := vlsi.Metric{Area: eng.Area(), Time: elapsed}
 	return &report.Report{
 		Alg: j.Alg, Network: j.network(), Model: j.model().Name(), N: j.N, Seed: j.Seed,

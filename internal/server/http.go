@@ -265,21 +265,22 @@ type shedOutcome struct {
 }
 
 // gate runs one job through the pre-queue admission ladder: draining
-// → validation → breaker → fairness. On success it returns the
-// breaker-probe flag (the caller must Record or Release it); on
-// refusal it returns the shed outcome for the handler to write.
+// → validation → breaker → fairness. The handler validated the job
+// once already and passes the verdict as invalid. On success gate
+// returns the breaker-probe flag (the caller must Record or Release
+// it); on refusal it returns the shed outcome for the handler to write.
 // Everything after gate — result-cache lookup, coalescing, the
 // bounded queue — sees only jobs the ladder already admitted, which
 // is what keeps shed/breaker/fairness semantics identical with the
 // cache on or off.
-func (s *Server) gate(r *http.Request, spec *Job) (bool, *shedOutcome) {
+func (s *Server) gate(r *http.Request, spec *Job, invalid error) (bool, *shedOutcome) {
 	if s.pool.Draining() {
 		s.metrics.add(func(m *Metrics) { m.rejectedDrain++ })
 		return false, &shedOutcome{http.StatusServiceUnavailable, "draining", "server is draining", time.Second}
 	}
-	if err := spec.Validate(); err != nil {
+	if invalid != nil {
 		s.metrics.add(func(m *Metrics) { m.invalid++ })
-		return false, &shedOutcome{http.StatusBadRequest, "invalid", err.Error(), 0}
+		return false, &shedOutcome{http.StatusBadRequest, "invalid", invalid.Error(), 0}
 	}
 	if spec.Client == "" {
 		spec.Client = r.Header.Get("X-Client-ID")
@@ -386,7 +387,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeShed(w, http.StatusInternalServerError, "failed", jerr.Error(), spec.ID, 0)
 		return
 	}
-	s.writeOutcome(w, &spec, key, s.wait(r, s.admitJob(r, &spec)))
+	s.writeOutcome(w, &spec, key, s.wait(r, s.admitJob(r, &spec, nil)))
 }
 
 // streamItem is one NDJSON line of an array submission.
@@ -425,7 +426,11 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []
 			emit(streamItem{Status: "invalid", Error: "null job"})
 			continue
 		}
-		if spec.Validate() == nil {
+		// An invalid element is not journaled; admission refuses it
+		// after the draining check, so a draining server answers it
+		// "draining" like every other element.
+		verr := spec.Validate()
+		if verr == nil {
 			s.jmu.RLock()
 			jerr := s.journalRecord(&walRecord{T: "job", Job: spec})
 			s.jmu.RUnlock()
@@ -434,7 +439,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []
 				continue
 			}
 		}
-		t := s.admitJob(r, spec)
+		t := s.admitJob(r, spec, verr)
 		if t.out != nil {
 			emit(streamOutcome(spec.ID, *t.out))
 			continue

@@ -40,10 +40,10 @@ import (
 // sizes that would let one job exhaust the host.
 const MaxN = 256
 
-// PackedMaxN is the size bound for packed Boolean jobs. The packed
-// engine holds no machine at all — a few fused duration tables plus
-// O(N²/64) words of adjacency per run — so admission can afford four
-// times the scalar bound.
+// PackedMaxN is the size bound for jobs the packed engine serves (see
+// packedEngine). The packed engine holds no machine at all — a few
+// fused duration tables plus O(N²/64) words of adjacency per run — so
+// admission can afford four times the scalar bound.
 const PackedMaxN = 1024
 
 // Job is one simulation request, the POST /jobs body. The zero value
@@ -63,18 +63,17 @@ type Job struct {
 	// Model is the wire-delay model: "log" (default), "const" or
 	// "linear".
 	Model string `json:"model,omitempty"`
-	// N is the problem size (power of two, ≤ MaxN; packed Boolean
-	// jobs may go up to PackedMaxN).
+	// N is the problem size (power of two, ≤ MaxN; jobs the packed
+	// engine serves may go up to PackedMaxN).
 	N int `json:"n"`
 	// Seed drives the workload generator, exactly as otsim -seed.
 	Seed uint64 `json:"seed"`
 
-	// Packed requests the bit-packed Boolean engine for a healthy
-	// "cc" job: no machine checkout, simulated results byte-identical
-	// to the scalar path. Fault and supervised modes are traversal-
-	// time effects the fused schedules cannot express, so combining
-	// them with Packed is a validation error rather than a silent
-	// fallback.
+	// Packed is kept for compatibility and chooses nothing: every
+	// healthy "cc" job runs on the packed engine whatever it says
+	// (packedEngine). Its validation rules stay — combining it with
+	// "sort", faults or events is still an error — so requests that
+	// set it are answered as before.
 	Packed bool `json:"packed,omitempty"`
 
 	// Faults, when positive, injects that many random dead tree edges
@@ -133,7 +132,7 @@ func (j *Job) Validate() error {
 		}
 	}
 	limit := MaxN
-	if j.Packed {
+	if j.packedEngine() {
 		limit = PackedMaxN
 	}
 	if j.N < 2 || j.N > limit || j.N&(j.N-1) != 0 {
@@ -183,18 +182,21 @@ func (j *Job) Class() string {
 		mode = "supervised"
 	} else if j.Faults > 0 {
 		mode = "faulty"
-	} else if j.usesPacked() {
+	} else if j.packedEngine() {
 		mode = "packed"
 	}
 	return fmt.Sprintf("%s/%s/%s/%d/%s", j.Alg, j.network(), j.modelName(), j.N, mode)
 }
 
-// usesPacked reports whether the job runs on the machine-free packed
-// engine. Validation already pins the conjunction, but the executor
-// and metrics re-check it so a hand-built Job degrades to the scalar
-// path instead of mis-running.
-func (j *Job) usesPacked() bool {
-	return j.Packed && j.Alg == "cc" && j.Faults == 0 && !j.Supervised()
+// packedEngine is the server's one engine decision: a healthy,
+// unsupervised "cc" computation — job or session, on either network
+// and under any delay model — runs on the machine-free packed engine,
+// whose reports are pinned byte-identical to the scalar machine's.
+// Sorts, static fault plans and supervised runs need the scalar
+// machine: their effects happen during tree traversal, which the fused
+// duration tables cannot express. The Packed field plays no part.
+func (j *Job) packedEngine() bool {
+	return j.Alg == "cc" && j.Faults == 0 && j.Events == nil
 }
 
 // modelName is the resolved model's report name key ("log", "const",
@@ -224,21 +226,19 @@ type jobFingerprint struct {
 	Model      string `json:"model"`
 	N          int    `json:"n"`
 	Seed       uint64 `json:"seed"`
-	Packed     bool   `json:"packed"`
 	Faults     int    `json:"faults"`
 	Supervised bool   `json:"supervised"`
 	Events     int    `json:"events"`
 }
 
 // Fingerprint returns the job's result-cache key: a hash of the
-// canonical-JSON projection above. Packed is included even though the
-// packed engine's reports are pinned byte-identical to the scalar
-// path's — the key errs on the side of never sharing bytes across
-// execution engines.
+// canonical-JSON projection above. The engine is not part of it: the
+// other fields decide it (packedEngine), so a job that sets Packed and
+// one that does not share one entry.
 func (j *Job) Fingerprint() string {
 	fp := jobFingerprint{
 		Alg: j.Alg, Network: j.network(), Model: j.modelName(),
-		N: j.N, Seed: j.Seed, Packed: j.usesPacked(), Faults: j.Faults,
+		N: j.N, Seed: j.Seed, Faults: j.Faults,
 	}
 	if j.Supervised() {
 		fp.Supervised, fp.Events = true, *j.Events

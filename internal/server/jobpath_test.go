@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -143,5 +144,72 @@ func TestCorruptCachedBodyFails(t *testing.T) {
 	}
 	if it.Status != "failed" || it.Report != nil || !strings.Contains(it.Error, "result cache") || it.JobID != spec.ID {
 		t.Fatalf("array line on corrupt bytes: %+v", it)
+	}
+}
+
+// TestDrainingInvalidResponses pins what each path answers for every
+// combination of a draining server and an invalid job. Each job is
+// validated once: a single job is refused as invalid before the
+// draining check, while an array element meets the draining check
+// first, so a draining server answers every element "draining".
+func TestDrainingInvalidResponses(t *testing.T) {
+	valid := &Job{ID: "v", Alg: "sort", N: 16, Seed: 1}
+	invalid := &Job{ID: "x", Alg: "sort", N: 3}
+	for _, draining := range []bool{false, true} {
+		s := New(Config{Workers: 1})
+		ts := httptest.NewServer(s)
+		if draining {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err := s.Drain(ctx)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		type want struct {
+			status int
+			reason string
+		}
+		single := map[*Job]want{
+			valid:   {http.StatusOK, ""},
+			invalid: {http.StatusBadRequest, "invalid"},
+		}
+		line := map[string]string{"v": "ok", "x": "invalid"}
+		wantInvalid, wantDrain := int64(2), int64(0)
+		if draining {
+			single[valid] = want{http.StatusServiceUnavailable, "draining"}
+			line = map[string]string{"v": "draining", "x": "draining"}
+			wantInvalid, wantDrain = 1, 3
+		}
+		for j, w := range single {
+			status, shed, _ := rawPost(t, ts, j)
+			if status != w.status || (shed != nil && shed.Reason != w.reason) {
+				t.Errorf("draining=%v single %s: %d %+v, want %d %s", draining, j.ID, status, shed, w.status, w.reason)
+			}
+		}
+		status, body := postJSON(t, ts, "/jobs", []*Job{valid, invalid})
+		if status != http.StatusOK {
+			t.Fatalf("draining=%v array: status %d: %s", draining, status, body)
+		}
+		got := map[string]string{}
+		for _, l := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+			var it streamItem
+			if err := json.Unmarshal(l, &it); err != nil {
+				t.Fatalf("decode line %q: %v", l, err)
+			}
+			got[it.JobID] = it.Status
+		}
+		for id, st := range line {
+			if got[id] != st {
+				t.Errorf("draining=%v array line %s: status %q, want %q", draining, id, got[id], st)
+			}
+		}
+		snap := s.Metrics()
+		if snap.Invalid != wantInvalid || snap.RejectedDrain != wantDrain {
+			t.Errorf("draining=%v: invalid %d rejected_draining %d, want %d %d",
+				draining, snap.Invalid, snap.RejectedDrain, wantInvalid, wantDrain)
+		}
+		ts.Close()
+		s.Close()
 	}
 }

@@ -182,7 +182,7 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 	} else {
 		sess.stream = g.Clone()
 	}
-	if spec.Packed {
+	if j.packedEngine() {
 		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
 		if err != nil {
 			return err

@@ -65,10 +65,11 @@ type ticket struct {
 }
 
 // admitJob runs one job through the admission ladder, the result-cache
-// lookup and the bounded queue. It never blocks.
-func (s *Server) admitJob(r *http.Request, spec *Job) *ticket {
+// lookup and the bounded queue; invalid is the job's Validate verdict.
+// It never blocks.
+func (s *Server) admitJob(r *http.Request, spec *Job, invalid error) *ticket {
 	t := &ticket{spec: spec}
-	probe, shed := s.gate(r, spec)
+	probe, shed := s.gate(r, spec, invalid)
 	if shed != nil {
 		t.out = &outcome{shed: shed}
 		return t
@@ -232,11 +233,15 @@ func streamOutcome(jobID string, o outcome) streamItem {
 // transport identity — job id and every serving-mode mark — so one
 // stored entry can answer any client. served re-labels it per
 // response; the round trip is byte-exact for every simulated field
-// (report.Same is the pinned equivalence).
+// (report.Same is the pinned equivalence). The bytes are compact JSON:
+// no response sends them as they are, and an entry stays resident for
+// as long as the byte budget allows, so the indentation would cost a
+// fifth to a quarter of every stored body.
 func canonicalBody(rep *report.Report) []byte {
 	c := *rep
 	c.JobID = ""
 	c.Replayed, c.Deduped = false, false
 	c.Cached, c.Coalesced = false, false
-	return renderJSON(&c)
+	body, _ := json.Marshal(&c) // a Report is plain data: it always marshals
+	return body
 }

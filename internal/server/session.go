@@ -23,13 +23,14 @@ import (
 
 // SessionSpec is the POST /sessions body: it checks out a stateful
 // streamed-labeling session whose graph survives between requests.
-// The scalar/packed split, size bounds and mode conflicts are exactly
-// the job rules (a session is a "cc" job that stays resident).
+// The engine choice, size bounds and mode conflicts are exactly the
+// job rules (a session is a "cc" job that stays resident): a healthy
+// session runs on the packed engine, a fault-bearing one on a machine.
 type SessionSpec struct {
 	// Client names the submitter for per-client fairness.
 	Client string `json:"client,omitempty"`
-	// N is the vertex count (power of two; ≤ MaxN scalar, ≤ PackedMaxN
-	// packed).
+	// N is the vertex count (power of two; ≤ PackedMaxN when healthy,
+	// ≤ MaxN with faults or events).
 	N int `json:"n"`
 	// Seed drives the workload generator and the update stream.
 	Seed uint64 `json:"seed"`
@@ -37,8 +38,8 @@ type SessionSpec struct {
 	// "linear").
 	Network string `json:"network,omitempty"`
 	Model   string `json:"model,omitempty"`
-	// Packed runs the session on the machine-free packed incremental
-	// engine (healthy sessions only, same conflict rules as jobs).
+	// Packed is kept for compatibility and chooses nothing, as on
+	// jobs: it is still refused together with faults or events.
 	Packed bool `json:"packed,omitempty"`
 	// Grid selects the pixel-image workload: N must be a perfect
 	// square (side² = N), the initial graph is the 4-adjacency of a
@@ -56,11 +57,11 @@ type SessionSpec struct {
 	Events int `json:"events,omitempty"`
 }
 
-// job translates the spec into the equivalent Job for validation and
-// machine-shape reuse.
+// job translates the spec into the equivalent Job for the engine
+// decision and machine-shape reuse.
 func (sp *SessionSpec) job() *Job {
 	j := &Job{Alg: "cc", Client: sp.Client, N: sp.N, Seed: sp.Seed,
-		Network: sp.Network, Model: sp.Model, Packed: sp.Packed, Faults: sp.Faults}
+		Network: sp.Network, Model: sp.Model, Faults: sp.Faults}
 	if sp.Events > 0 {
 		j.Events = &sp.Events
 	}
@@ -69,7 +70,9 @@ func (sp *SessionSpec) job() *Job {
 
 // Validate applies the job rules plus the grid shape constraint.
 func (sp *SessionSpec) Validate() error {
-	if err := sp.job().Validate(); err != nil {
+	j := sp.job()
+	j.Packed = sp.Packed
+	if err := j.Validate(); err != nil {
 		return err
 	}
 	if sp.Grid && gridSide(sp.N) < 0 {
@@ -288,7 +291,7 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 		sess.stream = g.Clone()
 	}
 
-	if spec.Packed {
+	if j.packedEngine() {
 		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
 		if err != nil {
 			return nil, nil, http.StatusInternalServerError, err.Error()
@@ -448,7 +451,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Sess
 type sessionInfo struct {
 	SessionID  string `json:"session_id"`
 	N          int    `json:"n"`
-	Packed     bool   `json:"packed"`
+	Packed     bool   `json:"packed"` // the engine that runs, not the spec's flag
 	Grid       bool   `json:"grid"`
 	Clock      int64  `json:"clock_bit_times"`
 	Batches    int    `json:"batches"`
@@ -460,7 +463,7 @@ type sessionInfo struct {
 func (s *Server) writeSessionInfo(w http.ResponseWriter, sess *Session) {
 	sess.lock.Lock()
 	info := sessionInfo{
-		SessionID: sess.id, N: sess.spec.N, Packed: sess.spec.Packed, Grid: sess.spec.Grid,
+		SessionID: sess.id, N: sess.spec.N, Packed: sess.pinc != nil, Grid: sess.spec.Grid,
 		Clock: int64(sess.clock), Batches: sess.batches, Updates: sess.updates,
 		Components: distinctLabels(sess.labels()),
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/algorithms/graph"
 	"repro/internal/report"
+	"repro/internal/vlsi"
 	"repro/internal/workload"
 )
 
@@ -118,21 +119,51 @@ func TestSessionMatchesLocalIncremental(t *testing.T) {
 }
 
 // TestSessionPackedMatchesScalar pins the streamed determinism
-// contract across engines: a packed session's per-batch reports are
-// report.Same as the scalar session's for the identical spec.
+// contract across engines: a healthy session runs packed whether or
+// not its spec sets the packed flag, and its per-batch reports are
+// report.Same as the ones the scalar machine's incremental labeling
+// yields for the identical stream.
 func TestSessionPackedMatchesScalar(t *testing.T) {
 	const n, seed = 32, uint64(7)
 	ts := testServer(t, Config{Workers: 2})
-	sc := openSession(t, ts, &SessionSpec{N: n, Seed: seed})
-	pk := openSession(t, ts, &SessionSpec{N: n, Seed: seed, Packed: true})
-	if !sc.Same(pk) {
-		t.Fatalf("checkout reports differ:\n%s", sc.Diff(pk))
+	plain := openSession(t, ts, &SessionSpec{N: n, Seed: seed})
+	flagged := openSession(t, ts, &SessionSpec{N: n, Seed: seed, Packed: true})
+
+	// Scalar reference, with the server's RNG discipline.
+	j := &Job{Alg: "cc", N: n, Seed: seed}
+	rng := workload.NewRNG(seed)
+	g := rng.Gnp(n, 2.0/float64(n))
+	stream := g.Clone()
+	m, err := j.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, clock := graph.NewIncremental(m, g, 0)
+	want := func(batch int, dur vlsi.Time, st graph.BatchStats, labels []int64) *report.Report {
+		metric := vlsi.Metric{Area: m.Area(), Time: dur}
+		return &report.Report{
+			Alg: "cc", Network: j.network(), Model: j.model().Name(), N: n, Seed: seed,
+			Time: int64(dur), Area: int64(m.Area()), AT2: metric.AT2(),
+			HealthyTime: int64(clock), Recovered: true,
+			Batch: batch, Updates: st.Updates, Affected: st.Affected,
+			Components: distinctLabels(labels),
+		}
+	}
+	ref := want(0, clock, graph.BatchStats{}, inc.Labels())
+	for _, got := range []*report.Report{plain, flagged} {
+		if !got.Same(ref) {
+			t.Fatalf("checkout report differs from scalar:\n%s", got.Diff(ref))
+		}
 	}
 	for b := 1; b <= 6; b++ {
-		sr := postBatch(t, ts, sc.SessionID, updateRequest{Count: 2})
-		pr := postBatch(t, ts, pk.SessionID, updateRequest{Count: 2})
-		if !sr.Same(pr) {
-			t.Fatalf("batch %d reports differ:\n%s", b, sr.Diff(pr))
+		labels, done := inc.ApplyBatch(rng.UpdateBatch(stream, 2), clock)
+		dur := done - clock
+		clock = done
+		ref := want(b, dur, inc.Stats(), labels)
+		for _, id := range []string{plain.SessionID, flagged.SessionID} {
+			if got := postBatch(t, ts, id, updateRequest{Count: 2}); !got.Same(ref) {
+				t.Fatalf("session %s batch %d differs from scalar:\n%s", id, b, got.Diff(ref))
+			}
 		}
 	}
 }

@@ -8,6 +8,8 @@
 // runtime or library version.
 package workload
 
+import "repro/internal/bits"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift64*). The zero value is not valid; use NewRNG.
 type RNG struct {
@@ -161,14 +163,32 @@ func (g *Graph) EdgeCount() int {
 // Gnp returns an Erdős–Rényi G(n, p) graph.
 func (r *RNG) Gnp(n int, p float64) *Graph {
 	g := NewGraph(n)
+	r.gnpEach(n, p, g.AddEdge)
+	return g
+}
+
+// GnpBits draws the same G(n, p) graph as Gnp straight into a packed
+// adjacency matrix, skipping the n×n []bool rows, and leaves the RNG
+// in the same state.
+func (r *RNG) GnpBits(n int, p float64) *bits.Matrix {
+	m := bits.NewMatrix(n)
+	r.gnpEach(n, p, func(i, j int) {
+		m.Set(i, j)
+		m.Set(j, i)
+	})
+	return m
+}
+
+// gnpEach is the one G(n, p) draw loop: one Float64 per vertex pair
+// i < j in row-major order, calling edge for each pair drawn below p.
+func (r *RNG) gnpEach(n int, p float64, edge func(i, j int)) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
-				g.AddEdge(i, j)
+				edge(i, j)
 			}
 		}
 	}
-	return g
 }
 
 // ComponentsGraph returns a graph on n vertices built from k dense

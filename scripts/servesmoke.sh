@@ -8,9 +8,10 @@
 #   3. drive it past capacity with otload, including a flooding client
 #      the fairness layer must isolate — otload exits non-zero on any
 #      transport error or 5xx, and unless enough jobs completed
-#   4. replay two streamed sessions end to end (packed pixel grid, then
-#      scalar with supervised fault arrivals) — every update batch must
-#      come back as a 200 report
+#   4. replay three streamed sessions end to end (a pixel grid and an
+#      unflagged Gnp graph, both healthy and so on the packed engine,
+#      then scalar with supervised fault arrivals) — every update batch
+#      must come back as a 200 report
 #   5. SIGTERM otserve and propagate its exit code: 0 means the drain
 #      finished every admitted job AND the goroutine count returned to
 #      the pre-server baseline (2 = drain failure, 3 = leak)
@@ -58,6 +59,10 @@ echo "servesmoke: offered load 300/s for 2s + flooding client (capacity ~2 worke
 
 echo "servesmoke: streamed session (grid, packed, 16 batches)"
 "$TMP/otload" -url "http://$ADDR" -session -n 256 -grid -packed \
+    -batches 16 -batchsize 4 -minok 16
+
+echo "servesmoke: streamed session (Gnp, healthy and unflagged: packed)"
+"$TMP/otload" -url "http://$ADDR" -session -n 64 \
     -batches 16 -batchsize 4 -minok 16
 
 echo "servesmoke: streamed session (scalar, supervised arrivals)"
