@@ -32,13 +32,15 @@ race:
 # Short fuzz passes over the fault-layer determinism properties:
 # static plans, fault-arrival schedules through the recovery
 # supervisor, and the packed-vs-scalar differential (op streams ×
-# fault plans must produce identical bit-times, results and health).
+# fault plans must produce identical bit-times, results and health);
+# plus the four-lane G(n, p) draw against the plain per-pair loop.
 fuzz:
 	$(GO) test -fuzz FuzzPlanDeterminism -fuzztime 10s ./internal/fault
 	$(GO) test -fuzz FuzzScheduleDeterminism -fuzztime 10s ./internal/fault
 	$(GO) test -fuzz FuzzPackedDifferential -fuzztime 15s ./internal/packed
 	$(GO) test -fuzz FuzzIncrementalDifferential -fuzztime 15s ./internal/resilience
 	$(GO) test -fuzz FuzzJournalTornTail -fuzztime 10s ./internal/journal
+	$(GO) test -fuzz FuzzGnpDraw -fuzztime 10s ./internal/workload
 
 # Regenerate the committed benchmark baseline (host numbers are
 # environmental; the simulated metrics inside must never change).

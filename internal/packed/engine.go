@@ -24,6 +24,7 @@ package packed
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/core"
@@ -123,111 +124,144 @@ func (e *Engine) ComponentsPacked(adj *bits.Matrix, rel vlsi.Time) ([]int64, vls
 	return e.componentsFrom(adj, rel)
 }
 
-// componentsFrom is the engine core over a packed adjacency.
+// componentsFrom is the engine core over a packed adjacency: the
+// rounds of graph.ConnectedComponents, each a hook-and-contract
+// iteration whose primitives' durations come from the fused tables
+// and whose data steps are the scalar steps evaluated on the host.
+//
+// The adjacency is only read once, into neighbour lists; every round
+// then walks the edges instead of the n²/64 adjacency words. The
+// rounds share three n-slices (labels, candidates, hooks); pointer
+// jumping alternates between the labels and the candidate slice,
+// which is dead by then. Once a jump moves no pointer, every later
+// jump of the round reads the same prev and would charge the same
+// column broadcast plus the same slowest gather, so the rest of the
+// round's jumps are charged in one product (DESIGN.md §13).
 func (e *Engine) componentsFrom(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
 	n := e.K
 	if adj.N != n {
 		panic(fmt.Sprintf("packed: %d-vertex adjacency on a (%d×%d) engine", adj.N, e.K, e.K))
 	}
-	d := make([]int64, n)
+	off, nbr := neighbours(adj)
+	labels := make([]int64, n)
+	work := make([]int64, 2*n)
+	d, cand, hook := labels, work[:n:n], work[n:]
 	for v := range d {
 		d[v] = int64(v)
 	}
 	t := rel
-	maxRounds := vlsi.Log2Ceil(n) + 2
+	jumps := vlsi.Log2Ceil(n)
+	maxRounds := jumps + 2
 	for round := 0; round < maxRounds; round++ {
-		var changed bool
-		d, t, changed = e.ccRound(adj, d, t)
+		// (a1) D down every column, (a2) D along every row, (a3) local
+		// candidate compare, (a4) MIN ascent per row.
+		t += e.ccFixedA
+		anyHook := false
+		for v := range d {
+			c := core.Null
+			dv := d[v]
+			for _, u := range nbr[off[v]:off[v+1]] {
+				if du := d[u]; du != dv && (c == core.Null || du < c) {
+					c = du
+				}
+			}
+			cand[v] = c
+			anyHook = anyHook || c != core.Null
+		}
+
+		// (b1) stage C(v) at column D(v): a selective row broadcast
+		// that only charges when some row actually floods (ParDo is a
+		// max, and deselected rows return their release time
+		// unchanged).
+		if anyHook {
+			t += e.fRow.Broadcast
+		}
+		// (b2) MIN per column + (c) the hook-resolution broadcast.
+		t += e.ccFixedB2C
+		for s := range hook {
+			hook[s] = core.Null
+		}
+		for v, c := range cand {
+			if c == core.Null {
+				continue
+			}
+			if s := d[v]; hook[s] == core.Null || c < hook[s] {
+				hook[s] = c
+			}
+		}
+
+		// (c) resolve hooks — the scalar logic verbatim. Root s reads
+		// and writes only d[s], so d updates in place.
+		changed := false
+		for s := range d {
+			if d[s] != int64(s) {
+				continue
+			}
+			ee := hook[s]
+			if ee == core.Null {
+				continue
+			}
+			if hook[ee] == int64(s) && int64(s) < ee {
+				continue
+			}
+			d[s] = ee
+			changed = true
+		}
+
+		// (d) pointer jumping: per jump, a column broadcast plus the
+		// slowest row gather from leaf prev[v].
+		for j := 0; j < jumps; j++ {
+			prev, next := d, cand
+			var maxG vlsi.Time
+			moved := false
+			for v, pv := range prev {
+				if g := e.fRow.Gather[pv]; g > maxG {
+					maxG = g
+				}
+				next[v] = prev[pv]
+				moved = moved || next[v] != pv
+			}
+			d, cand = next, prev
+			if !moved {
+				t += vlsi.Time(jumps-j) * (e.fCol.Broadcast + maxG)
+				break
+			}
+			t += e.fCol.Broadcast + maxG
+		}
 		if !changed {
 			break
 		}
 	}
-	return d, t
+	if &d[0] != &labels[0] {
+		copy(labels, d)
+	}
+	return labels, t
 }
 
-// ccRound replays one hook-and-contract iteration of graph.ccRound:
-// each primitive's duration comes from the fused tables, each data
-// step is the scalar step evaluated over packed adjacency rows.
-func (e *Engine) ccRound(adj *bits.Matrix, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, bool) {
-	n := e.K
-
-	// (a1) D down every column, (a2) D along every row, (a3) local
-	// candidate compare, (a4) MIN ascent per row.
-	t := rel + e.ccFixedA
-	cOf := make([]int64, n)
+// neighbours lists adj's set bits row by row: v's neighbours are
+// nbr[off[v]:off[v+1]], ascending. One allocation holds both.
+func neighbours(adj *bits.Matrix) (off, nbr []int32) {
+	n := adj.N
+	deg := 0
 	for v := 0; v < n; v++ {
-		c := core.Null
-		dv := d[v]
-		bits.ForEach(adj.Row(v), func(u int) {
-			if du := d[u]; du != dv && (c == core.Null || du < c) {
-				c = du
+		for _, w := range adj.Row(v) {
+			deg += mathbits.OnesCount64(w)
+		}
+	}
+	buf := make([]int32, n+1+deg)
+	off, nbr = buf[:n+1:n+1], buf[n+1:]
+	k := int32(0)
+	for v := 0; v < n; v++ {
+		off[v] = k
+		for wi, w := range adj.Row(v) {
+			for ; w != 0; w &= w - 1 {
+				nbr[k] = int32(wi*bits.WordBits + mathbits.TrailingZeros64(w))
+				k++
 			}
-		})
-		cOf[v] = c
-	}
-
-	// (b1) stage C(v) at column D(v): a selective row broadcast that
-	// only charges when some row actually floods (ParDo is a max, and
-	// deselected rows return their release time unchanged).
-	anyHook := false
-	for v := 0; v < n; v++ {
-		if cOf[v] != core.Null {
-			anyHook = true
-			break
 		}
 	}
-	if anyHook {
-		t += e.fRow.Broadcast
-	}
-	// (b2) MIN per column + (c) the hook-resolution broadcast.
-	t += e.ccFixedB2C
-	hook := make([]int64, n)
-	for s := range hook {
-		hook[s] = core.Null
-	}
-	for v := 0; v < n; v++ {
-		if cOf[v] == core.Null {
-			continue
-		}
-		s := d[v]
-		if hook[s] == core.Null || cOf[v] < hook[s] {
-			hook[s] = cOf[v]
-		}
-	}
-
-	// (c) resolve hooks — the scalar logic verbatim.
-	newD := append([]int64(nil), d...)
-	changed := false
-	for s := 0; s < n; s++ {
-		if d[s] != int64(s) {
-			continue
-		}
-		ee := hook[s]
-		if ee == core.Null {
-			continue
-		}
-		if hook[ee] == int64(s) && int64(s) < ee {
-			continue
-		}
-		newD[s] = ee
-		changed = true
-	}
-
-	// (d) pointer jumping: per jump, a column broadcast plus the
-	// slowest row gather from leaf prev[v].
-	for j := 0; j < vlsi.Log2Ceil(n); j++ {
-		prev := append([]int64(nil), newD...)
-		t += e.fCol.Broadcast
-		var maxG vlsi.Time
-		for v := 0; v < n; v++ {
-			if g := e.fRow.Gather[prev[v]]; g > maxG {
-				maxG = g
-			}
-			newD[v] = prev[prev[v]]
-		}
-		t += maxG
-	}
-	return newD, t, changed
+	off[n] = k
+	return off, nbr
 }
 
 // Closure computes the reflexive-transitive closure, mirroring

@@ -176,7 +176,7 @@ func caseName(j *Job) string {
 // TestServerMatchesOtsim pins the contract: the /jobs response body is
 // byte-for-byte the JSON otsim -json prints for the same job.
 func TestServerMatchesOtsim(t *testing.T) {
-	three := 3
+	zero, two, three := 0, 2, 3
 	jobs := []*Job{
 		{Alg: "sort", N: 16, Seed: 7},
 		{Alg: "cc", N: 16, Seed: 11},
@@ -194,6 +194,14 @@ func TestServerMatchesOtsim(t *testing.T) {
 		{Alg: "cc", N: 16, Seed: 17, Packed: true},
 		{Alg: "cc", N: 64, Seed: 21, Packed: true},
 		{Alg: "cc", Network: "scaled", N: 16, Seed: 11, Packed: true},
+		// A supervised cc job's baseline runs packed, while the
+		// reference below builds the scalar baseline: these entries
+		// pin the healthy time and answer it feeds the supervisor.
+		{Alg: "cc", N: 16, Seed: 23, Events: &zero},
+		{Alg: "cc", N: 64, Seed: 31, Events: &two},
+		{Alg: "cc", Network: "scaled", N: 16, Seed: 41, Events: &two},
+		{Alg: "cc", Network: "scaled", N: 64, Seed: 37, Events: &zero},
+		{Alg: "cc", N: 16, Seed: 43, Model: "linear", Events: &two},
 	}
 	ts := testServer(t, Config{Workers: 2})
 	for _, j := range jobs {

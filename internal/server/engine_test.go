@@ -15,28 +15,33 @@ import (
 // alg × faults × events × flag × network: every healthy cc job and
 // session runs packed whatever the flag says, and sort, faulty and
 // supervised runs stay on the scalar machine. Each row checks the
-// class mode, whether the job raised packed_jobs, and whether the
-// equivalent session checked out a machine.
+// class mode, whether the job raised packed_jobs, how many machine
+// checkouts the job made, and whether the equivalent session checked
+// out a machine. A supervised job's baseline takes the engine of the
+// same job unsupervised, so a supervised cc job checks out one
+// machine, for the supervised run, and a supervised sort two.
 func TestEngineChoice(t *testing.T) {
 	one := 1
 	rows := []struct {
-		job    Job
-		mode   string
-		packed bool
+		job       Job
+		mode      string
+		packed    bool
+		checkouts int
 	}{
-		{Job{Alg: "sort"}, "plain", false},
-		{Job{Alg: "sort", Network: "scaled"}, "plain", false},
-		{Job{Alg: "sort", Faults: 1}, "faulty", false},
-		{Job{Alg: "sort", Events: &one}, "supervised", false},
-		{Job{Alg: "cc"}, "packed", true},
-		{Job{Alg: "cc", Packed: true}, "packed", true},
-		{Job{Alg: "cc", Network: "scaled"}, "packed", true},
-		{Job{Alg: "cc", Network: "scaled", Packed: true}, "packed", true},
-		{Job{Alg: "cc", Model: "const"}, "packed", true},
-		{Job{Alg: "cc", Faults: 1}, "faulty", false},
-		{Job{Alg: "cc", Network: "scaled", Faults: 1}, "faulty", false},
-		{Job{Alg: "cc", Events: &one}, "supervised", false},
-		{Job{Alg: "cc", Events: new(int)}, "supervised", false},
+		{Job{Alg: "sort"}, "plain", false, 1},
+		{Job{Alg: "sort", Network: "scaled"}, "plain", false, 1},
+		{Job{Alg: "sort", Faults: 1}, "faulty", false, 1},
+		{Job{Alg: "sort", Events: &one}, "supervised", false, 2},
+		{Job{Alg: "cc"}, "packed", true, 0},
+		{Job{Alg: "cc", Packed: true}, "packed", true, 0},
+		{Job{Alg: "cc", Network: "scaled"}, "packed", true, 0},
+		{Job{Alg: "cc", Network: "scaled", Packed: true}, "packed", true, 0},
+		{Job{Alg: "cc", Model: "const"}, "packed", true, 0},
+		{Job{Alg: "cc", Faults: 1}, "faulty", false, 1},
+		{Job{Alg: "cc", Network: "scaled", Faults: 1}, "faulty", false, 1},
+		{Job{Alg: "cc", Events: &one}, "supervised", false, 1},
+		{Job{Alg: "cc", Events: new(int)}, "supervised", false, 1},
+		{Job{Alg: "cc", Network: "scaled", Events: &one}, "supervised", false, 1},
 	}
 	s := New(Config{Workers: 2, MaxSessions: 16})
 	ts := httptest.NewServer(s)
@@ -54,10 +59,15 @@ func TestEngineChoice(t *testing.T) {
 			if mode := j.Class()[strings.LastIndex(j.Class(), "/")+1:]; mode != row.mode {
 				t.Fatalf("class mode %q, want %q", mode, row.mode)
 			}
-			before := s.Metrics().PackedJobs
+			before := s.Metrics()
 			postJob(t, ts, &j)
-			if rose := s.Metrics().PackedJobs > before; rose != row.packed {
+			after := s.Metrics()
+			if rose := after.PackedJobs > before.PackedJobs; rose != row.packed {
 				t.Fatalf("packed_jobs rose = %v, want %v", rose, row.packed)
+			}
+			checkouts := after.MCache.Hits + after.MCache.Misses - before.MCache.Hits - before.MCache.Misses
+			if checkouts != row.checkouts {
+				t.Fatalf("job made %d machine checkouts, want %d", checkouts, row.checkouts)
 			}
 			if j.Alg != "cc" {
 				return

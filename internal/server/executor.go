@@ -16,10 +16,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Executor runs validated jobs against cached machines. It is the
-// part of the server whose outputs must be bit-identical to otsim:
+// Executor runs validated jobs on the engine packedEngine picks. It is
+// the part of the server whose outputs must be bit-identical to otsim:
 // the RNG draw order, fault-plan derivation and supervisor wiring
-// below mirror cmd/otsim/main.go line for line.
+// below follow cmd/otsim/main.go, while healthy cc runs, a supervised
+// cc job's baseline included, take the packed engine where otsim runs
+// the scalar machine. What stays identical is the report bytes, which
+// TestServerMatchesOtsim pins.
 type Executor struct {
 	cache *mcache.Cache
 }
@@ -46,6 +49,11 @@ func (j *Job) build() (*core.Machine, error) {
 		return core.NewScaled(j.N, j.config())
 	}
 	return core.New(j.N, j.config())
+}
+
+// engine returns the shared packed engine of the job's machine shape.
+func (j *Job) engine() (*packed.Engine, error) {
+	return packed.EngineFor(j.N, j.config(), j.network() == "scaled")
 }
 
 // checkout acquires the job's machine under ctx (the pool's drain
@@ -83,7 +91,7 @@ func (e *Executor) runPacked(ctx context.Context, j *Job) (*report.Report, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eng, err := packed.EngineFor(j.N, j.config(), j.network() == "scaled")
+	eng, err := j.engine()
 	if err != nil {
 		return nil, err
 	}
@@ -145,37 +153,19 @@ func (e *Executor) runPlain(ctx context.Context, j *Job) (*report.Report, error)
 }
 
 // runSupervised mirrors otsim -schedule: a fault-free baseline run
-// fixes the schedule horizon and the reference answer, then a second
-// machine runs the job under the checkpoint/rollback supervisor with
-// j.Events mid-run dead-edge arrivals. The two machines are checked
-// out sequentially, never held together, so a capacity-1 cache shard
+// fixes the schedule horizon and the reference answer, then a machine
+// runs the job under the checkpoint/rollback supervisor with j.Events
+// mid-run dead-edge arrivals. The baseline is the same job
+// unsupervised, so the one engine decision picks its engine: a cc
+// baseline runs packed, with no checkout, and only a sort's baseline
+// checks out a machine. A sort's two machines are checked out
+// sequentially, never held together, so a capacity-1 cache shard
 // cannot deadlock.
 func (e *Executor) runSupervised(ctx context.Context, j *Job) (*report.Report, error) {
-	// Baseline.
-	healthy, release, err := e.checkout(ctx, j)
+	want, healthyT, xs, g, err := e.baseline(ctx, j)
 	if err != nil {
 		return nil, err
 	}
-	rng := workload.NewRNG(j.Seed)
-	var xs []int64
-	var g *workload.Graph
-	var want []int64
-	var healthyT vlsi.Time
-	if j.Alg == "sort" {
-		xs = rng.Perm(j.N)
-		want, healthyT = sorting.SortOTN(healthy, xs, 0)
-	} else {
-		g = rng.Gnp(j.N, 2.0/float64(j.N))
-		graph.LoadGraph(healthy, g)
-		want, healthyT = graph.ConnectedComponents(healthy, 0)
-	}
-	baseErr := healthy.Err()
-	release()
-	if baseErr != nil {
-		return nil, baseErr
-	}
-
-	// Supervised run.
 	m, release, err := e.checkout(ctx, j)
 	if err != nil {
 		return nil, err
@@ -226,4 +216,34 @@ func (e *Executor) runSupervised(ctx context.Context, j *Job) (*report.Report, e
 		return rep, fmt.Errorf("server: %s", rep.Error)
 	}
 	return rep, nil
+}
+
+// baseline runs a supervised job's fault-free baseline: the reference
+// answer and healthy time, plus the input it drew (the permutation of
+// a sort, the graph of a cc job) for the supervised run to reuse.
+func (e *Executor) baseline(ctx context.Context, j *Job) (want []int64, healthyT vlsi.Time, xs []int64, g *workload.Graph, err error) {
+	plain := *j
+	plain.Events = nil
+	rng := workload.NewRNG(j.Seed)
+	if plain.packedEngine() {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, nil, nil, err
+		}
+		eng, err := j.engine()
+		if err != nil {
+			return nil, 0, nil, nil, err
+		}
+		g = rng.Gnp(j.N, 2.0/float64(j.N))
+		want, healthyT = eng.Components(g, 0)
+		return want, healthyT, nil, g, nil
+	}
+	// Validate rejects events with faults, so only a sort gets here.
+	m, release, err := e.checkout(ctx, j)
+	if err != nil {
+		return nil, 0, nil, nil, err
+	}
+	defer release()
+	xs = rng.Perm(j.N)
+	want, healthyT = sorting.SortOTN(m, xs, 0)
+	return want, healthyT, xs, nil, m.Err()
 }

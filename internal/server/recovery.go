@@ -183,7 +183,7 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 		sess.stream = g.Clone()
 	}
 	if j.packedEngine() {
-		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
+		eng, err := j.engine()
 		if err != nil {
 			return err
 		}

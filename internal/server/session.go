@@ -292,7 +292,7 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 	}
 
 	if j.packedEngine() {
-		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
+		eng, err := j.engine()
 		if err != nil {
 			return nil, nil, http.StatusInternalServerError, err.Error()
 		}

@@ -18,3 +18,14 @@ func FuzzPermIsPermutation(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGnpDraw: the lane draw matches the plain per-pair loop (edges in
+// order, final state) for any seed, size up to 1,100 and density.
+func FuzzGnpDraw(f *testing.F) {
+	f.Add(uint64(1), uint16(1024), 2.0/1024)
+	f.Add(uint64(0), uint16(2), 1.0)
+	f.Add(uint64(7), uint16(100), 0.3)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, p float64) {
+		checkDraw(t, seed, int(nRaw%1100)+1, p)
+	})
+}

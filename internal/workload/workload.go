@@ -41,12 +41,9 @@ func (r *RNG) SetState(s uint64) {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
+	x := step(r.state)
 	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	return x * xorshiftMul
 }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n ≤ 0.
@@ -177,18 +174,6 @@ func (r *RNG) GnpBits(n int, p float64) *bits.Matrix {
 		m.Set(j, i)
 	})
 	return m
-}
-
-// gnpEach is the one G(n, p) draw loop: one Float64 per vertex pair
-// i < j in row-major order, calling edge for each pair drawn below p.
-func (r *RNG) gnpEach(n int, p float64, edge func(i, j int)) {
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < p {
-				edge(i, j)
-			}
-		}
-	}
 }
 
 // ComponentsGraph returns a graph on n vertices built from k dense
