@@ -31,8 +31,8 @@ race:
 
 # Short fuzz passes over the fault-layer determinism properties:
 # static plans, fault-arrival schedules through the recovery
-# supervisor, and the packed-vs-scalar differential (op streams ×
-# fault plans must produce identical bit-times, results and health);
+# supervisor, and the packed-vs-scalar differential (op streams must
+# produce identical bit-times and results);
 # plus the four-lane G(n, p) draw against the plain per-pair loop.
 fuzz:
 	$(GO) test -fuzz FuzzPlanDeterminism -fuzztime 10s ./internal/fault

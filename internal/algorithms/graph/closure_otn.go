@@ -22,15 +22,14 @@ import (
 // pins both the returned matrix and the completion time against this
 // function at every overlapping N.
 //
-// The machine's adj register (scalar and packed shadow) is updated in
-// place to the closure. The returned matrix aliases fresh storage.
+// The machine's adj register is updated in place to the closure. The
+// returned matrix aliases fresh storage.
 func ClosureOTN(m *core.Machine, rel vlsi.Time) ([][]int64, vlsi.Time) {
 	n := m.K
 
 	// Reflexive diagonal: one local bit-op per BP (only (v,v) writes).
 	for v := 0; v < n; v++ {
 		m.Set(regAdj, v, v, 1)
-		m.SetBit(regAdj, v, v, true)
 	}
 	t := m.Local(rel, 1)
 
@@ -72,7 +71,6 @@ func ClosureOTN(m *core.Machine, rel vlsi.Time) ([][]int64, vlsi.Time) {
 			for u := 0; u < n; u++ {
 				if m.Get(regCand, v, u) != 0 && m.Get(regAdj, v, u) == 0 {
 					m.Set(regAdj, v, u, 1)
-					m.SetBit(regAdj, v, u, true)
 					changed = true
 				}
 			}

@@ -38,13 +38,9 @@ func TestClosureOTNMatchesReference(t *testing.T) {
 					if got[v][u] != want[v][u] {
 						t.Fatalf("n=%d seed=%d: closure[%d][%d] = %d, want %d", n, seed, v, u, got[v][u], want[v][u])
 					}
-					// The machine's adj register and its packed shadow
-					// were updated in place and must agree.
+					// The machine's adj register was updated in place.
 					if m.Get("adj", v, u) != want[v][u] {
 						t.Fatalf("n=%d seed=%d: adj register (%d,%d) = %d, want %d", n, seed, v, u, m.Get("adj", v, u), want[v][u])
-					}
-					if m.GetBit("adj", v, u) != (want[v][u] != 0) {
-						t.Fatalf("n=%d seed=%d: adj bit bank (%d,%d) desynced", n, seed, v, u)
 					}
 				}
 			}

@@ -12,17 +12,10 @@ package graph
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/vlsi"
 	"repro/internal/workload"
 )
-
-// RegAdj is the adjacency register LoadGraph fills (scalar bank plus
-// packed bit-bank shadow) — exported so the packed adapter can read
-// the machine-resident adjacency without re-deriving it from the
-// workload.
-const RegAdj = regAdj
 
 // Registers used by the graph programs.
 const (
@@ -34,12 +27,8 @@ const (
 	regW    core.Reg = "W"    // weight matrix W(v,u)
 )
 
-// LoadGraph stores the adjacency matrix of g into the base of m —
-// into the scalar adj register and, through the same stuck-BP write
-// guard, into its packed bit-bank shadow, so the packed execution
-// mode (internal/packed) and the word-skipping scalar sweeps below
-// always read exactly the Boolean image of what the scalar program
-// reads.
+// LoadGraph stores the adjacency matrix of g into the base of m, in
+// the adj register.
 func LoadGraph(m *core.Machine, g *workload.Graph) {
 	if g.N != m.K {
 		panic(fmt.Sprintf("graph: %d vertices on a (%d×%d)-OTN", g.N, m.K, m.K))
@@ -51,7 +40,6 @@ func LoadGraph(m *core.Machine, g *workload.Graph) {
 				a = 1
 			}
 			m.Set(regAdj, v, u, a)
-			m.SetBit(regAdj, v, u, g.Adj[v][u])
 		}
 	}
 }
@@ -122,34 +110,14 @@ func ccRound(m *core.Machine, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, boo
 		return m.RootToLeaf(vec, nil, regDrow, r)
 	})
 	// (a3) candidate at BP(v,u): D(u) if the edge exists and joins
-	// different components. On a healthy machine whose adjacency has a
-	// packed shadow (LoadGraph), the sweep word-skips the zero spans of
-	// each row: the bit bank is the exact Boolean image of adj and the
-	// sparse Gnp rows are mostly zero, so the host cost drops from
-	// three register reads per cell to one write plus a per-edge probe.
-	// The values written are identical either way (adj holds only 0/1),
-	// and the charged time below is a data-independent local step.
-	if !m.Faulty() && m.HasBitBank(regAdj) {
-		adj := m.BitBank(regAdj)
-		for v := 0; v < n; v++ {
-			for u := 0; u < n; u++ {
-				m.Set(regCand, v, u, core.Null)
+	// different components.
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			c := core.Null
+			if m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
+				c = m.Get(regDcol, v, u)
 			}
-			bits.ForEach(adj.Row(v), func(u int) {
-				if c := m.Get(regDcol, v, u); c != m.Get(regDrow, v, u) {
-					m.Set(regCand, v, u, c)
-				}
-			})
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			for u := 0; u < n; u++ {
-				c := core.Null
-				if m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
-					c = m.Get(regDcol, v, u)
-				}
-				m.Set(regCand, v, u, c)
-			}
+			m.Set(regCand, v, u, c)
 		}
 	}
 	t = m.Local(t, m.CostCompare())

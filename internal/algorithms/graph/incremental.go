@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/vlsi"
 	"repro/internal/workload"
@@ -71,25 +70,6 @@ func NewIncremental(m *core.Machine, g *workload.Graph, rel vlsi.Time) (*Increme
 	}, t
 }
 
-// ResumeIncremental rebuilds an engine around previously committed
-// state: g and labels come from a durable snapshot, the graph is
-// loaded into m, and the labels are adopted as-is instead of being
-// recomputed. No simulated time is charged — the labels were already
-// paid for by the run that produced the snapshot. The caller owns the
-// claim that labels are the canonical labeling of g (recovery asserts
-// it against the union-find oracle).
-func ResumeIncremental(m *core.Machine, g *workload.Graph, labels []int64) *Incremental {
-	gc := g.Clone()
-	LoadGraph(m, gc)
-	d := append([]int64(nil), labels...)
-	return &Incremental{
-		m: m, g: gc, d: d,
-		work:      append([]int64(nil), d...),
-		inS:       make([]bool, g.N),
-		converged: true,
-	}
-}
-
 // Machine returns the underlying machine.
 func (inc *Incremental) Machine() *core.Machine { return inc.m }
 
@@ -102,10 +82,10 @@ func (inc *Incremental) Graph() *workload.Graph { return inc.g }
 // Stats returns the statistics of the last batch.
 func (inc *Incremental) Stats() BatchStats { return inc.last }
 
-// ApplyUpdates writes a batch into the adjacency (scalar register and
-// bit-bank shadow, both triangle halves), derives the affected set S
-// from the net edge changes, and seeds the restricted recompute:
-// every vertex of S restarts as its own supervertex. Batches that end
+// ApplyUpdates writes a batch into the adjacency register (both
+// triangle halves), derives the affected set S from the net edge
+// changes, and seeds the restricted recompute: every vertex of S
+// restarts as its own supervertex. Batches that end
 // up changing nothing (duplicate toggles, intra-component insertions)
 // leave S empty and converge immediately. The charged time is the one
 // local word-step of folding the updates into the base.
@@ -132,8 +112,6 @@ func (inc *Incremental) ApplyUpdates(batch []workload.EdgeUpdate, rel vlsi.Time)
 		g.Adj[v][u] = up.Add
 		m.Set(regAdj, u, v, a)
 		m.Set(regAdj, v, u, a)
-		m.SetBit(regAdj, u, v, up.Add)
-		m.SetBit(regAdj, v, u, up.Add)
 	}
 
 	// Net changes against the pre-batch graph decide which component
@@ -253,32 +231,14 @@ func (inc *Incremental) restrictedRound(rel vlsi.Time) (vlsi.Time, bool) {
 		m.SetRowRoot(vec.Index, work[vec.Index])
 		return m.RootToLeaf(vec, nil, regDrow, r)
 	})
-	// (a3) hooking candidates on the S rows, mirroring ccRound's
-	// word-skipping fast path on healthy bit-banked machines.
-	if !m.Faulty() && m.HasBitBank(regAdj) {
-		adj := m.BitBank(regAdj)
-		for _, v := range sv {
-			for u := 0; u < n; u++ {
-				m.Set(regCand, v, u, core.Null)
+	// (a3) hooking candidates on the S rows.
+	for _, v := range sv {
+		for u := 0; u < n; u++ {
+			c := core.Null
+			if inS[u] && m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
+				c = m.Get(regDcol, v, u)
 			}
-			bits.ForEach(adj.Row(v), func(u int) {
-				if !inS[u] {
-					return
-				}
-				if c := m.Get(regDcol, v, u); c != m.Get(regDrow, v, u) {
-					m.Set(regCand, v, u, c)
-				}
-			})
-		}
-	} else {
-		for _, v := range sv {
-			for u := 0; u < n; u++ {
-				c := core.Null
-				if inS[u] && m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
-					c = m.Get(regDcol, v, u)
-				}
-				m.Set(regCand, v, u, c)
-			}
+			m.Set(regCand, v, u, c)
 		}
 	}
 	t = m.Local(t, m.CostCompare())

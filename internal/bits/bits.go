@@ -69,29 +69,6 @@ func (m *Matrix) SetTo(i, j int, v bool) {
 	}
 }
 
-// Zero clears the whole matrix.
-func (m *Matrix) Zero() {
-	for i := range m.bits {
-		m.bits[i] = 0
-	}
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{N: m.N, W: m.W, bits: make([]uint64, len(m.bits))}
-	copy(c.bits, m.bits)
-	return c
-}
-
-// CopyFrom overwrites m with src. The two matrices must be the same
-// size.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.N != src.N {
-		panic(fmt.Sprintf("bits: copy %d×%d over %d×%d", src.N, src.N, m.N, m.N))
-	}
-	copy(m.bits, src.bits)
-}
-
 // Equal reports whether two matrices hold the same bits. Sizes must
 // match for equality; the trailing-zero invariant makes whole-word
 // comparison exact.
@@ -202,20 +179,4 @@ func FromRows(rows [][]int64) *Matrix {
 		PackRow(m.Row(i), row)
 	}
 	return m
-}
-
-// ToRows unpacks the matrix to 0/1 scalar rows.
-func (m *Matrix) ToRows() [][]int64 {
-	rows := make([][]int64, m.N)
-	flat := make([]int64, m.N*m.N)
-	for i := range rows {
-		rows[i], flat = flat[:m.N:m.N], flat[m.N:]
-		row := m.Row(i)
-		for j := 0; j < m.N; j++ {
-			if row[j/WordBits]&(1<<(j%WordBits)) != 0 {
-				rows[i][j] = 1
-			}
-		}
-	}
-	return rows
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bits"
 	"repro/internal/fault"
 	"repro/internal/layout"
 	"repro/internal/tree"
@@ -190,10 +189,6 @@ type Machine struct {
 	// regs holds banks of any *other* register names — the slow path
 	// for exotic callers, grown on first use by bank.
 	regs map[Reg][]int64
-
-	// bitRegs holds the packed Boolean bit banks (see bitbank.go),
-	// grown on first use by BitBank.
-	bitRegs map[Reg]*bits.Matrix
 
 	rowRoot []int64
 	colRoot []int64
@@ -370,20 +365,6 @@ func NewScaled(k int, cfg vlsi.Config) (*Machine, error) {
 // Area returns the chip area of the machine's layout: Θ(K² log² K)
 // for the native OTN, whatever the backing network reports otherwise.
 func (m *Machine) Area() vlsi.Area { return m.area }
-
-// Scaled reports whether the machine's trees use Thompson's scaling
-// technique (NewScaled). False for emulated machines built over
-// custom routers — their timing is not the native tree timing either
-// way, which is why the packed adapter requires Geom != nil too.
-func (m *Machine) Scaled() bool {
-	if len(m.rows) == 0 {
-		return false
-	}
-	if t, ok := m.rows[0].(*tree.Tree); ok {
-		return t.Scaled()
-	}
-	return false
-}
 
 // WordBits returns the configured word width.
 func (m *Machine) WordBits() int { return m.Cfg.WordBits }

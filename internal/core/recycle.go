@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/bits"
-	"repro/internal/fault"
-)
+import "repro/internal/fault"
 
 // This file implements machine recycling, the core of the
 // internal/mcache checkout/return protocol: construction (layout
@@ -52,7 +49,6 @@ func (m *Machine) Recycle() {
 			bank[i] = 0
 		}
 	})
-	m.eachBitBank(func(_ Reg, b *bits.Matrix) { b.Zero() })
 	for i := range m.rowRoot {
 		m.rowRoot[i] = 0
 		m.colRoot[i] = 0

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/bits"
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // This file implements the machine half of checkpointed recovery
 // (internal/resilience): Snapshot captures everything a rollback must
@@ -19,7 +16,6 @@ import (
 // Machine.Restore.
 type Snapshot struct {
 	banks            map[Reg][]int64
-	bitBanks         map[Reg]*bits.Matrix
 	rowRoot, colRoot []int64
 	rows, cols       []*tree.State
 }
@@ -61,12 +57,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	m.eachBank(func(r Reg, bank []int64) {
 		s.banks[r] = append([]int64(nil), bank...)
 	})
-	m.eachBitBank(func(r Reg, b *bits.Matrix) {
-		if s.bitBanks == nil {
-			s.bitBanks = make(map[Reg]*bits.Matrix)
-		}
-		s.bitBanks[r] = b.Clone()
-	})
 	for i := 0; i < m.K; i++ {
 		rr, ok := m.rows[i].(routerState)
 		if !ok {
@@ -99,13 +89,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 			for i := range bank {
 				bank[i] = 0
 			}
-		}
-	})
-	m.eachBitBank(func(r Reg, b *bits.Matrix) {
-		if saved, ok := s.bitBanks[r]; ok {
-			b.CopyFrom(saved)
-		} else {
-			b.Zero()
 		}
 	})
 	copy(m.rowRoot, s.rowRoot)

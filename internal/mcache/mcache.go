@@ -55,20 +55,6 @@ func EmulatedOTNKey(k, l int, cfg vlsi.Config) Key {
 	return Key{Network: "otc-emulated", K: k, CycleLen: l, WordBits: cfg.WordBits, Model: cfg.Model.Name()}
 }
 
-// PackedOTNKey is the key of packed.New(k, cfg): the machine-free
-// bit-packed Boolean engine over the measured (k×k)-OTN shape. Packed
-// engines are not core.Machines, so they never enter a Cache's free
-// list; the key exists so the packed engine cache, the server's job
-// classes and the analysis sweeps all name packed shapes one way.
-func PackedOTNKey(k int, cfg vlsi.Config) Key {
-	return Key{Network: "otn-packed", K: k, WordBits: cfg.WordBits, Model: cfg.Model.Name()}
-}
-
-// PackedScaledOTNKey is the key of packed.NewScaled(k, cfg).
-func PackedScaledOTNKey(k int, cfg vlsi.Config) Key {
-	return Key{Network: "otn-scaled-packed", K: k, WordBits: cfg.WordBits, Model: cfg.Model.Name()}
-}
-
 // Stats counts cache traffic.
 type Stats struct {
 	Hits    int // checkouts served from the free list (or a direct Return handoff)

@@ -12,14 +12,15 @@
 // register banks, the engine is a few kilobytes, which is what makes
 // the paper's Table III curves computable at N=1024 in CI.
 //
-// The contract, pinned by the differential fuzz in this package and
-// enforced at runtime by the adapter (adapter.go): for every healthy
-// machine at every overlapping N, the packed engine returns exactly
-// the labels, closure matrices and completion bit-times of the scalar
-// programs in internal/algorithms/graph. Faulty or traced machines
-// are never routed here — fault views change first-bit reachability
-// and charge ascent numbers at traversal time, so those runs take the
-// scalar interpreter/plan path (DESIGN.md §13).
+// The contract, pinned by the differential fuzz in this package: at
+// every overlapping N, the packed engine returns exactly the labels,
+// closure matrices and completion bit-times the scalar programs in
+// internal/algorithms/graph return on a healthy machine. Faulty or
+// traced runs stay on the scalar programs — fault views change
+// first-bit reachability and charge ascent numbers at traversal time,
+// and a tracer observes individual primitives, none of which the
+// fused tables express (DESIGN.md §13). Callers pick the engine
+// explicitly; nothing here inspects a machine.
 package packed
 
 import (
@@ -57,13 +58,9 @@ type Engine struct {
 	closureRound vlsi.Time // closure: one full Boolean squaring (n inner steps)
 }
 
-// New builds the packed engine of core.New(k, cfg): same measured
-// geometry, same area, fused tables probed from the same tree shapes.
-func New(k int, cfg vlsi.Config) (*Engine, error) { return build(k, cfg, false) }
-
-// NewScaled builds the packed engine of core.NewScaled(k, cfg).
-func NewScaled(k int, cfg vlsi.Config) (*Engine, error) { return build(k, cfg, true) }
-
+// build constructs the packed engine of core.New(k, cfg) (or
+// core.NewScaled when scaled): same measured geometry, same area,
+// fused tables probed from the same tree shapes.
 func build(k int, cfg vlsi.Config, scaled bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -115,17 +112,12 @@ func (e *Engine) Components(g *workload.Graph, rel vlsi.Time) ([]int64, vlsi.Tim
 	if g.N != e.K {
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
 	}
-	return e.componentsFrom(PackGraph(g), rel)
+	return e.ComponentsPacked(PackGraph(g), rel)
 }
 
 // ComponentsPacked is Components over an already packed adjacency
-// (workload.RNG.GnpBits draws one directly); adj is only read.
-func (e *Engine) ComponentsPacked(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
-	return e.componentsFrom(adj, rel)
-}
-
-// componentsFrom is the engine core over a packed adjacency: the
-// rounds of graph.ConnectedComponents, each a hook-and-contract
+// (workload.RNG.GnpBits draws one directly); adj is only read. It runs
+// the rounds of graph.ConnectedComponents, each a hook-and-contract
 // iteration whose primitives' durations come from the fused tables
 // and whose data steps are the scalar steps evaluated on the host.
 //
@@ -137,7 +129,7 @@ func (e *Engine) ComponentsPacked(adj *bits.Matrix, rel vlsi.Time) ([]int64, vls
 // jump of the round reads the same prev and would charge the same
 // column broadcast plus the same slowest gather, so the rest of the
 // round's jumps are charged in one product (DESIGN.md §13).
-func (e *Engine) componentsFrom(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
+func (e *Engine) ComponentsPacked(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
 	n := e.K
 	if adj.N != n {
 		panic(fmt.Sprintf("packed: %d-vertex adjacency on a (%d×%d) engine", adj.N, e.K, e.K))
@@ -271,17 +263,9 @@ func (e *Engine) Closure(g *workload.Graph, rel vlsi.Time) (*bits.Matrix, vlsi.T
 	if g.N != e.K {
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
 	}
-	return e.closureFrom(PackGraph(g), rel)
-}
-
-// closureFrom squares R = adj ∨ I until fixpoint. adj is not
-// mutated.
-func (e *Engine) closureFrom(adj *bits.Matrix, rel vlsi.Time) (*bits.Matrix, vlsi.Time) {
 	n := e.K
-	if adj.N != n {
-		panic(fmt.Sprintf("packed: %d-vertex adjacency on a (%d×%d) engine", adj.N, e.K, e.K))
-	}
-	r := adj.Clone()
+	// R = adj ∨ I, squared until fixpoint.
+	r := PackGraph(g)
 	for v := 0; v < n; v++ {
 		r.Set(v, v)
 	}

@@ -54,7 +54,7 @@ func NewIncremental(e *Engine, g *workload.Graph, rel vlsi.Time) (*Incremental, 
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
 	}
 	adj := PackGraph(g)
-	d, t := e.componentsFrom(adj, rel)
+	d, t := e.ComponentsPacked(adj, rel)
 	n := e.K
 	return &Incremental{
 		e: e, adj: adj, d: d,
@@ -69,8 +69,10 @@ func NewIncremental(e *Engine, g *workload.Graph, rel vlsi.Time) (*Incremental, 
 
 // ResumeIncremental rebuilds an engine around previously committed
 // state without recomputing: g and labels come from a durable
-// snapshot and are adopted as-is at zero simulated cost. The packed
-// twin of graph.ResumeIncremental.
+// snapshot and are adopted as-is at zero simulated cost: the run that
+// produced the snapshot already paid for them. The caller owns the
+// claim that labels are the canonical labeling of g (server recovery
+// asserts it against the union-find oracle).
 func ResumeIncremental(e *Engine, g *workload.Graph, labels []int64) *Incremental {
 	if g.N != e.K {
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
@@ -284,43 +286,4 @@ func (inc *Incremental) restrictedRound(rel vlsi.Time) (vlsi.Time, bool) {
 		t += maxG
 	}
 	return t, changed
-}
-
-// Labeler is the streamed-labeling face shared by the scalar and
-// packed incremental engines — what a stateful session holds.
-type Labeler interface {
-	ApplyBatch(batch []workload.EdgeUpdate, rel vlsi.Time) ([]int64, vlsi.Time)
-	Labels() []int64
-	Stats() graph.BatchStats
-}
-
-// NewLabeler extends the adapter to the streamed workload: the graph
-// resident in m starts an incremental engine, packed when m is
-// eligible (the machine itself is then never touched), the exact
-// scalar incremental path otherwise (faulty or traced machines).
-// Returns the engine, the initial labeling's completion time and
-// whether the packed path was taken.
-func NewLabeler(m *core.Machine, g *workload.Graph, rel vlsi.Time) (Labeler, vlsi.Time, bool) {
-	if Eligible(m) {
-		if e, err := engineOf(m); err == nil {
-			inc, t := NewIncremental(e, g, rel)
-			return inc, t, true
-		}
-	}
-	inc, t := graph.NewIncremental(m, g, rel)
-	return inc, t, false
-}
-
-// ResumeLabeler is NewLabeler's recovery path: the committed graph and
-// labels come from a durable snapshot and no initial labeling runs, so
-// no simulated time is charged. The engine choice mirrors NewLabeler
-// so a recovered session streams on the same path it would have lived
-// on uninterrupted.
-func ResumeLabeler(m *core.Machine, g *workload.Graph, labels []int64) (Labeler, bool) {
-	if Eligible(m) {
-		if e, err := engineOf(m); err == nil {
-			return ResumeIncremental(e, g, labels), true
-		}
-	}
-	return graph.ResumeIncremental(m, g, labels), false
 }

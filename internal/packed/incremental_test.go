@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algorithms/graph"
-	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -84,51 +83,5 @@ func TestIncrementalPixelParity(t *testing.T) {
 			t.Fatalf("step %d: labels diverged from oracle", step)
 		}
 		sT, pT = sT2, pT2
-	}
-}
-
-// TestNewLabelerAdapter pins the streamed adapter: healthy machines
-// get the packed engine (machine untouched), faulty machines the
-// exact scalar incremental path.
-func TestNewLabelerAdapter(t *testing.T) {
-	const n = 16
-	g := workload.NewRNG(3).Gnp(n, 2.0/float64(n))
-
-	m := newMachine(t, n, false)
-	graph.LoadGraph(m, g)
-	lab, t0, usedPacked := NewLabeler(m, g, 0)
-	if !usedPacked {
-		t.Fatal("adapter fell back on a healthy machine")
-	}
-	if _, ok := lab.(*Incremental); !ok {
-		t.Fatalf("healthy labeler is %T, want *packed.Incremental", lab)
-	}
-
-	fm := newMachine(t, n, false)
-	if err := fm.InjectFaults(fault.Random(n, 2, 7)); err != nil {
-		t.Fatal(err)
-	}
-	graph.LoadGraph(fm, g)
-	flab, _, fPacked := NewLabeler(fm, g, 0)
-	if fPacked {
-		t.Fatal("adapter used packed engine on a faulty machine")
-	}
-	if _, ok := flab.(*graph.Incremental); !ok {
-		t.Fatalf("faulty labeler is %T, want *graph.Incremental", flab)
-	}
-
-	// Healthy parity through the interface: labels equal the scalar
-	// machine's full recompute after a batch.
-	stream := g.Clone()
-	batch := workload.NewRNG(9).UpdateBatch(stream, 4)
-	labels, t1 := lab.ApplyBatch(batch, t0)
-	if t1 <= t0 {
-		t.Fatal("batch took no time")
-	}
-	m2 := newMachine(t, n, false)
-	graph.LoadGraph(m2, stream)
-	want, _ := graph.ConnectedComponents(m2, 0)
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("labeler labels %v, full recompute %v", labels, want)
 	}
 }

@@ -125,3 +125,47 @@ func TestEngineChoice(t *testing.T) {
 		t.Fatalf("unflagged healthy cc n=512: status %d: %s", status, body)
 	}
 }
+
+// TestCompactSnapshotIffPackedEngine pins the invariant server
+// recovery leans on: over network × model × grid × faults/events, a
+// session snapshots as compact State exactly when its spec picks the
+// packed engine, and as input history otherwise. restoreSession
+// resumes every compact snapshot on the packed engine.
+func TestCompactSnapshotIffPackedEngine(t *testing.T) {
+	ts, s := testServerWithHandle(t, Config{Workers: 2, MaxSessions: 64, Burst: 128})
+	modes := []struct{ faults, events int }{{0, 0}, {1, 0}, {0, 1}}
+	for _, network := range []string{"", "scaled"} {
+		for _, model := range []string{"", "const", "linear"} {
+			for _, grid := range []bool{false, true} {
+				for _, mode := range modes {
+					spec := &SessionSpec{N: 16, Seed: 7, Network: network, Model: model,
+						Grid: grid, Faults: mode.faults, Events: mode.events}
+					name := fmt.Sprintf("%s/%s/grid=%v/faults=%d/events=%d",
+						network, model, grid, mode.faults, mode.events)
+					t.Run(name, func(t *testing.T) {
+						rep := openSession(t, ts, spec)
+						postBatch(t, ts, rep.SessionID, updateRequest{Count: 2})
+						sess := s.lookupSession(rep.SessionID)
+						ss := s.captureSession(sess)
+						if ss == nil {
+							t.Fatal("live session captured no snapshot")
+						}
+						want := spec.job().packedEngine()
+						if compact := ss.State != nil; compact != want {
+							t.Fatalf("compact state = %v, packed engine = %v", compact, want)
+						}
+						if history := ss.History != nil; history == want {
+							t.Fatalf("input history = %v, packed engine = %v", history, want)
+						}
+						sess.lock.Lock()
+						onPacked := sess.pinc != nil
+						sess.lock.Unlock()
+						if onPacked != want {
+							t.Fatalf("session runs packed = %v, packedEngine() = %v", onPacked, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}

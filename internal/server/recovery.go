@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/algorithms/graph"
 	"repro/internal/journal"
 	"repro/internal/packed"
 	"repro/internal/vlsi"
@@ -182,22 +181,15 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 	} else {
 		sess.stream = g.Clone()
 	}
-	if j.packedEngine() {
-		eng, err := j.engine()
-		if err != nil {
-			return err
-		}
-		sess.pinc = packed.ResumeIncremental(eng, g, ss.State.Labels)
-		sess.area = eng.Area()
-	} else {
-		m, err := s.scache.CheckoutContext(context.Background(), sess.key, j.build)
-		if err != nil {
-			return err
-		}
-		sess.sinc = graph.ResumeIncremental(m, g, ss.State.Labels)
-		sess.m = m
-		sess.area = m.Area()
+	// A compact snapshot is only written for a session with no faults
+	// and no events, which is exactly a spec packedEngine sends to the
+	// packed engine.
+	eng, err := j.engine()
+	if err != nil {
+		return err
 	}
+	sess.pinc = packed.ResumeIncremental(eng, g, ss.State.Labels)
+	sess.area = eng.Area()
 	sess.clock = vlsi.Time(ss.Clock)
 	sess.batches = ss.Batches
 	sess.updates = ss.Updates

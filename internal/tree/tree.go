@@ -154,9 +154,6 @@ func build(geom *layout.TreeGeom, cfg vlsi.Config, scaled bool) (*Tree, error) {
 // K returns the number of leaves.
 func (t *Tree) K() int { return t.geom.K }
 
-// Scaled reports whether the tree uses Thompson's scaling technique.
-func (t *Tree) Scaled() bool { return t.scaled }
-
 // WordBits returns the configured word width.
 func (t *Tree) WordBits() int { return t.cfg.WordBits }
 

@@ -56,7 +56,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/mot3d"
 	"repro/internal/otc"
-	"repro/internal/packed"
 	"repro/internal/psn"
 	"repro/internal/resilience"
 	"repro/internal/vlsi"
@@ -385,22 +384,6 @@ func TransitiveClosure(m *Machine, adj [][]int64) ([][]int64, Time) {
 // given a closure matrix.
 func ComponentsFromClosure(closure [][]int64) []int64 {
 	return graph.ComponentsFromClosure(closure)
-}
-
-// PackedComponents labels the resident graph through the scalar↔packed
-// adapter: the bit-packed fused-schedule engine when the machine is
-// healthy, untraced and native (bit-identical times and labels), the
-// scalar program otherwise. The boolean reports which path ran.
-func PackedComponents(m *Machine) ([]int64, Time, bool) {
-	return packed.RunComponents(m, 0)
-}
-
-// PackedClosure computes the reflexive-transitive closure of the
-// resident graph through the scalar↔packed adapter. On the scalar
-// fallback the machine's adjacency register is updated in place
-// (ClosureOTN semantics); the packed path leaves it untouched.
-func PackedClosure(m *Machine) ([][]int64, Time, bool) {
-	return packed.RunClosure(m, 0)
 }
 
 // DFT computes the N = K²-point discrete Fourier transform
