@@ -3,6 +3,11 @@
 // in bit-times, the chip area, the A·T² figure of merit, and — with
 // -trace — every communication primitive the machine executed.
 //
+// Sort and cc go through internal/run, the job path otserve serves, so
+// `otsim -json` prints the bytes a /jobs request for the same spec
+// answers with. A healthy cc run takes the packed engine there, unless
+// -trace or -summary asks for the machine's primitives.
+//
 // Usage:
 //
 //	otsim -alg sort -n 64
@@ -16,11 +21,18 @@
 //	otsim -alg matmul -n 8
 //	otsim -alg bitonic -n 64
 //	otsim -alg dft -n 64
+//
+// With -json, stdout carries one report.Report (internal/report, the
+// schema otserve and otload share); recovered is false exactly when
+// the exit status is non-zero.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/big"
 	"os"
@@ -28,360 +40,259 @@ import (
 	orthotrees "repro"
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/run"
 	"repro/internal/vlsi"
 )
 
 func main() {
-	alg := flag.String("alg", "sort", "sort | bitonic | cc | mst | matmul | dft | closure | intmul | matmul3d")
-	n := flag.Int("n", 64, "problem size (power of two; even power for bitonic/dft)")
-	network := flag.String("network", "otn", "otn | otc (OTC = Section VI block emulation)")
-	model := flag.String("model", "log", "wire-delay model: log | const | linear")
-	seed := flag.Uint64("seed", 1983, "workload seed")
-	faults := flag.Int("faults", 0, "inject this many random dead tree edges (seeded by -seed) and print the health report")
-	schedule := flag.Int("schedule", -1, "run under the recovery supervisor with this many mid-run dead-edge arrivals (sort/cc on otn/scaled; 0 = supervised but fault-free)")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout (human output moves to stderr); exit status stays non-zero on unrecoverable runs")
-	trace := flag.Bool("trace", false, "print every communication primitive")
-	summary := flag.Bool("summary", false, "print the primitive-mix summary after the run")
-	flag.Parse()
-
-	// With -json, stdout carries exactly one JSON object; the human
-	// narration moves to stderr so the report stays parseable.
-	say := func(format string, args ...any) {
-		w := os.Stdout
-		if *jsonOut {
-			w = os.Stderr
-		}
-		fmt.Fprintf(w, format, args...)
-	}
-
-	var dm vlsi.DelayModel
-	switch *model {
-	case "log":
-		dm = vlsi.LogDelay{}
-	case "const":
-		dm = vlsi.ConstantDelay{}
-	case "linear":
-		dm = vlsi.LinearDelay{}
+	switch err := otsim(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
 	default:
-		fail(fmt.Errorf("unknown model %q", *model))
+		fmt.Fprintf(os.Stderr, "otsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports bad flags, which the flag set has already printed
+// together with the usage.
+var errUsage = errors.New("usage")
+
+// otsim runs the command line args, printing the human narration to
+// stdout (stderr under -json, where stdout carries exactly one JSON
+// report). A non-nil error means a non-zero exit status.
+func otsim(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("otsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	alg := fs.String("alg", "sort", "sort | bitonic | cc | mst | matmul | dft | closure | intmul | matmul3d")
+	n := fs.Int("n", 64, "problem size (power of two; even power for bitonic/dft)")
+	network := fs.String("network", "otn", "otn | scaled | otc (OTC = Section VI block emulation)")
+	model := fs.String("model", "log", "wire-delay model: log | const | linear")
+	seed := fs.Uint64("seed", 1983, "workload seed")
+	faults := fs.Int("faults", 0, "inject this many random dead tree edges (seeded by -seed) and print the health report")
+	schedule := fs.Int("schedule", -1, "run under the recovery supervisor with this many mid-run dead-edge arrivals (sort/cc on otn/scaled; 0 = supervised but fault-free)")
+	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report on stdout (human output moves to stderr); exit status stays non-zero on unrecoverable runs")
+	trace := fs.Bool("trace", false, "print every communication primitive")
+	summary := fs.Bool("summary", false, "print the primitive-mix summary after the run (under -schedule: of the baseline and the supervised run)")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return nil
+	case err != nil:
+		return errUsage
 	}
 
+	narration := stdout
+	if *jsonOut {
+		narration = stderr
+	}
+	say := func(format string, args ...any) { fmt.Fprintf(narration, format, args...) }
+
+	spec := run.Spec{Alg: *alg, Network: *network, Model: *model, N: *n, Seed: *seed, Faults: *faults}
 	if *schedule >= 0 {
-		if *faults > 0 {
-			fail(fmt.Errorf("-schedule (dynamic arrivals) and -faults (static plan) are separate modes; pick one"))
+		if *alg != "sort" && *alg != "cc" {
+			return fmt.Errorf("-schedule supports -alg sort or cc, not %q", *alg)
 		}
-		runSupervised(*alg, *n, *network, dm, *seed, *schedule, *jsonOut, say)
-		return
+		spec.Events = schedule
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
-	rng := orthotrees.NewRNG(*seed)
+	// build makes every machine of the run and hooks -trace or -summary
+	// into it; last keeps the latest one for the health report.
 	var recorder *orthotrees.TraceRecorder
-	var faulted *orthotrees.Machine
-	machine := func(k int) *orthotrees.Machine {
-		cfg := vlsi.Config{WordBits: vlsi.WordBitsFor(k * k), Model: dm}
-		var m *orthotrees.Machine
-		var err error
-		switch *network {
-		case "otn":
-			m, err = orthotrees.NewOTNWith(k, cfg)
-		case "scaled":
-			m, err = orthotrees.NewScaledOTN(k, cfg)
-		case "otc":
-			l := 1 << uint(vlsi.Log2Floor(vlsi.Log2Ceil(k)))
-			if l < 2 {
-				l = 2
-			}
-			m, err = orthotrees.NewEmulatedOTN(k, l, cfg)
-		default:
-			err = fmt.Errorf("unknown network %q", *network)
-		}
-		fail(err)
-		if *faults > 0 {
-			if *network != "otn" && *network != "scaled" {
-				fail(fmt.Errorf("-faults names OTN tree sites; use -network otn or scaled"))
-			}
-			fail(m.InjectFaults(orthotrees.RandomFaultPlan(k, *faults, *seed)))
-			faulted = m
+	if *summary {
+		recorder = &orthotrees.TraceRecorder{}
+	}
+	var last *orthotrees.Machine
+	build := func(s run.Spec) (*orthotrees.Machine, error) {
+		m, err := s.Build()
+		if err != nil {
+			return nil, err
 		}
 		switch {
-		case *summary:
-			recorder = &orthotrees.TraceRecorder{}
+		case recorder != nil:
 			recorder.Attach(m)
 		case *trace:
 			m.Tracer = func(op string, vec core.Vector, start, end vlsi.Time) {
 				say("  t=%-8d %-18s %-12s done t=%d\n", start, op, vec, end)
 			}
 		}
-		return m
+		last = m
+		return m, nil
 	}
 
+	var rep *report.Report
+	var err error
+	if *alg == "sort" || *alg == "cc" {
+		checkout := func(context.Context) (*core.Machine, func(), error) {
+			m, err := build(spec)
+			return m, func() {}, err
+		}
+		var answer []int64
+		if rep, answer, err = run.Run(context.Background(), spec, checkout, *trace || *summary); rep == nil {
+			return err
+		}
+		switch {
+		case spec.Events != nil:
+			say("supervised %s on a (%d×%d)-OTN (%s): %d scheduled arrival(s)\n", *alg, *n, *n, *network, *schedule)
+			say("  healthy baseline: %d bit-times\n", rep.HealthyTime)
+			say("  supervised run:   %d bit-times (%.3fx)\n", rep.Time, float64(rep.Time)/float64(rep.HealthyTime))
+			if h := last.Health(); h != nil {
+				say("%s", h.Report())
+			} else {
+				say("  empty schedule: recovery machinery never engaged\n")
+			}
+		case *alg == "sort":
+			say("sorted %d numbers; first/last = %d/%d\n", *n, answer[0], answer[len(answer)-1])
+		default:
+			comp := map[int64]bool{}
+			for _, l := range answer {
+				comp[l] = true
+			}
+			say("graph with %d vertices: %d components\n", *n, len(comp))
+		}
+	} else if rep, err = paper(spec, build, say); rep == nil {
+		return err
+	}
+
+	if spec.Events == nil {
+		say("network=%s model=%s N=%d: time=%d bit-times, area=%d λ², A·T²=%.4g\n",
+			*network, rep.Model, *n, rep.Time, rep.Area, rep.AT2)
+	}
+	if recorder != nil {
+		say("%s", recorder.Summary())
+	}
+	if *faults > 0 {
+		say("%s", last.HealthReport())
+	}
+	if *jsonOut {
+		data, err := rep.Marshal()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, string(data))
+	}
+	switch {
+	case err == nil, errors.Is(err, run.ErrWrongAnswer):
+		return err
+	case spec.Events != nil:
+		return fmt.Errorf("supervisor gave up: %w", err)
+	}
+	return fmt.Errorf("simulation did not recover: %w", err)
+}
+
+// paper runs one of the paper's algorithms other than sort and cc on
+// its own machine, built by build (with the spec's fault plan) for the
+// OTN-based ones. Every flag is checked before anything is built.
+func paper(spec run.Spec, build func(run.Spec) (*orthotrees.Machine, error), say func(string, ...any)) (*report.Report, error) {
+	n := spec.N
+	machine := func(k int) (*orthotrees.Machine, error) {
+		s := spec
+		s.N = k
+		m, err := build(s)
+		if err == nil && s.Faults > 0 {
+			err = m.InjectFaults(s.FaultPlan())
+		}
+		return m, err
+	}
+	var m *orthotrees.Machine
+	var err error
+	switch spec.Alg {
+	case "bitonic", "dft":
+		var k int
+		if k, err = sideOf(n); err == nil {
+			m, err = machine(k)
+		}
+	case "mst", "intmul":
+		m, err = machine(n)
+	case "matmul", "closure", "matmul3d":
+		if spec.Faults > 0 {
+			return nil, fmt.Errorf("-faults is not supported by -alg %s", spec.Alg)
+		}
+	default:
+		return nil, fmt.Errorf("unknown algorithm %q", spec.Alg)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	rng := orthotrees.NewRNG(spec.Seed)
 	var elapsed orthotrees.Time
 	var area orthotrees.Area
-	switch *alg {
-	case "sort":
-		m := machine(*n)
-		xs := rng.Perm(*n)
-		sorted, t := orthotrees.Sort(m, xs)
-		say("sorted %d numbers; first/last = %d/%d\n", *n, sorted[0], sorted[len(sorted)-1])
-		elapsed, area = t, m.Area()
+	switch spec.Alg {
 	case "bitonic":
-		k := sideOf(*n)
-		m := machine(k)
-		xs := rng.Ints(*n, 1<<20)
-		sorted, t := orthotrees.BitonicSort(m, xs)
-		say("bitonic-sorted %d numbers; first/last = %d/%d\n", *n, sorted[0], sorted[len(sorted)-1])
-		elapsed, area = t, m.Area()
-	case "cc":
-		m := machine(*n)
-		g := rng.Gnp(*n, 2.0/float64(*n))
-		orthotrees.LoadGraph(m, g)
-		labels, t := orthotrees.ConnectedComponents(m)
-		comp := map[int64]bool{}
-		for _, l := range labels {
-			comp[l] = true
-		}
-		say("graph with %d vertices, %d edges: %d components\n", *n, g.EdgeCount(), len(comp))
+		sorted, t := orthotrees.BitonicSort(m, rng.Ints(n, 1<<20))
+		say("bitonic-sorted %d numbers; first/last = %d/%d\n", n, sorted[0], sorted[len(sorted)-1])
 		elapsed, area = t, m.Area()
 	case "mst":
-		m := machine(*n)
-		w := rng.WeightMatrix(*n)
-		orthotrees.LoadWeights(m, w)
+		orthotrees.LoadWeights(m, rng.WeightMatrix(n))
 		edges, t := orthotrees.MinSpanningTree(m)
 		var total int64
 		for _, e := range edges {
 			total += e.W
 		}
-		say("MST of complete %d-vertex graph: %d edges, weight %d\n", *n, len(edges), total)
+		say("MST of complete %d-vertex graph: %d edges, weight %d\n", n, len(edges), total)
 		elapsed, area = t, m.Area()
-	case "matmul":
-		m, err := orthotrees.NewMatMulMachine(*n)
-		fail(err)
-		a := rng.BoolMatrix(*n, 0.4)
-		b := rng.BoolMatrix(*n, 0.4)
-		c, t := orthotrees.BoolMatMul(m, a, b)
-		ones := 0
-		for i := range c {
-			for j := range c[i] {
-				ones += int(c[i][j])
-			}
+	case "matmul", "closure":
+		mm, err := orthotrees.NewMatMulMachine(n)
+		if err != nil {
+			return nil, err
 		}
-		say("Boolean %d×%d product: %d ones\n", *n, *n, ones)
-		elapsed, area = t, m.Area()
+		if spec.Alg == "matmul" {
+			a := rng.BoolMatrix(n, 0.4)
+			c, t := orthotrees.BoolMatMul(mm, a, rng.BoolMatrix(n, 0.4))
+			say("Boolean %d×%d product: %d ones\n", n, n, ones(c))
+			elapsed = t
+		} else {
+			c, t := orthotrees.TransitiveClosure(mm, rng.BoolMatrix(n, 0.2))
+			say("transitive closure of %d vertices: %d reachable pairs\n", n, ones(c))
+			elapsed = t
+		}
+		area = mm.Area()
 	case "dft":
-		k := sideOf(*n)
-		m := machine(k)
-		xs := rng.ComplexSignal(*n)
-		spec, t := orthotrees.DFT(m, xs)
-		say("%d-point DFT; |X[0]| = %.3f\n", *n, abs(spec[0]))
-		elapsed, area = t, m.Area()
-	case "closure":
-		m, err := orthotrees.NewMatMulMachine(*n)
-		fail(err)
-		adj := rng.BoolMatrix(*n, 0.2)
-		closure, t := orthotrees.TransitiveClosure(m, adj)
-		reach := 0
-		for i := range closure {
-			for j := range closure[i] {
-				reach += int(closure[i][j])
-			}
-		}
-		say("transitive closure of %d vertices: %d reachable pairs\n", *n, reach)
+		xf, t := orthotrees.DFT(m, rng.ComplexSignal(n))
+		say("%d-point DFT; |X[0]| = %.3f\n", n, math.Hypot(real(xf[0]), imag(xf[0])))
 		elapsed, area = t, m.Area()
 	case "intmul":
-		m := machine(*n)
-		bits := *n * 4
-		x := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+		x := new(big.Int).Lsh(big.NewInt(1), uint(4*n-1))
 		x.Sub(x, big.NewInt(12345))
-		y := new(big.Int).Lsh(big.NewInt(1), uint(bits-2))
+		y := new(big.Int).Lsh(big.NewInt(1), uint(4*n-2))
 		y.Add(y, big.NewInt(6789))
 		p, t := orthotrees.MultiplyIntegers(m, x, y)
 		say("%d-bit × %d-bit integer product has %d bits\n", x.BitLen(), y.BitLen(), p.BitLen())
 		elapsed, area = t, m.Area()
 	case "matmul3d":
-		m3, err := orthotrees.NewMoT3D(*n, orthotrees.DefaultConfig(*n**n**n))
-		fail(err)
-		a := rng.BoolMatrix(*n, 0.4)
-		bm := rng.BoolMatrix(*n, 0.4)
-		c, t := m3.MatMul(a, bm, true, 0)
-		ones := 0
-		for i := range c {
-			for j := range c[i] {
-				ones += int(c[i][j])
-			}
+		m3, err := orthotrees.NewMoT3D(n, orthotrees.DefaultConfig(n*n*n))
+		if err != nil {
+			return nil, err
 		}
-		say("3D mesh-of-trees Boolean %d×%d product: %d ones\n", *n, *n, ones)
+		a := rng.BoolMatrix(n, 0.4)
+		c, t := m3.MatMul(a, rng.BoolMatrix(n, 0.4), true, 0)
+		say("3D mesh-of-trees Boolean %d×%d product: %d ones\n", n, n, ones(c))
 		elapsed, area = t, m3.Area()
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *alg))
 	}
-
-	metric := orthotrees.Metric{Area: area, Time: elapsed}
-	say("network=%s model=%s N=%d: time=%d bit-times, area=%d λ², A·T²=%.4g\n",
-		*network, dm.Name(), *n, elapsed, area, metric.AT2())
-	if recorder != nil {
-		say("%s", recorder.Summary())
-	}
-	var runErr error
-	if *faults > 0 {
-		if faulted == nil {
-			fail(fmt.Errorf("-faults is not supported by -alg %s", *alg))
-		}
-		say("%s", faulted.HealthReport())
-		runErr = faulted.Err()
-	}
-	if *jsonOut {
-		rep := report.Report{
-			Alg: *alg, Network: *network, Model: dm.Name(), N: *n, Seed: *seed,
-			Time: int64(elapsed), Area: int64(area), AT2: metric.AT2(),
-			Faults: *faults, Recovered: runErr == nil,
-		}
-		if faulted != nil {
-			rep.Health = report.HealthOf(faulted.Health())
-		}
-		if runErr != nil {
-			rep.Error = runErr.Error()
-		}
-		emitJSON(rep)
-	}
-	if runErr != nil {
-		fail(fmt.Errorf("simulation did not recover: %w", runErr))
-	}
+	return spec.Report(elapsed, area, m)
 }
 
-// The -json schema — one report.Report on stdout per run, covering
-// the model outputs and, for faulty or supervised runs, the health
-// and recovery ledger — lives in internal/report, shared with
-// otserve and otload. Recovered is false exactly when the process
-// exits non-zero.
-
-func emitJSON(rep report.Report) {
-	data, err := rep.Marshal()
-	if err != nil {
-		fail(err)
+// sideOf is the side of the k×k machine a size-n bitonic sort or DFT
+// runs on.
+func sideOf(n int) (int, error) {
+	k := int(math.Sqrt(float64(n)))
+	if k < 1 || k*k != n || k&(k-1) != 0 {
+		return 0, fmt.Errorf("size %d is not an even power of two", n)
 	}
-	fmt.Println(string(data))
+	return k, nil
 }
 
-// runSupervised is the -schedule mode: run sort or cc under the
-// checkpoint/rollback recovery supervisor with `events` mid-run
-// dead-edge arrivals. The fault-free baseline run fixes the schedule
-// horizon (arrivals land strictly inside the computation) and the
-// reference answer; a zero-event schedule is bit-identical to the
-// baseline. Exits non-zero when the supervisor gave up or the
-// recovered answer is wrong.
-func runSupervised(alg string, n int, network string, dm vlsi.DelayModel, seed uint64, events int, jsonOut bool, say func(string, ...any)) {
-	if alg != "sort" && alg != "cc" {
-		fail(fmt.Errorf("-schedule supports -alg sort or cc, not %q", alg))
-	}
-	cfg := vlsi.Config{WordBits: vlsi.WordBitsFor(n * n), Model: dm}
-	build := func() *orthotrees.Machine {
-		var m *orthotrees.Machine
-		var err error
-		switch network {
-		case "otn":
-			m, err = orthotrees.NewOTNWith(n, cfg)
-		case "scaled":
-			m, err = orthotrees.NewScaledOTN(n, cfg)
-		default:
-			err = fmt.Errorf("-schedule names OTN tree sites; use -network otn or scaled")
-		}
-		fail(err)
-		return m
-	}
-
-	// Fault-free baseline: fixes the horizon and the reference answer.
-	healthy := build()
-	rng := orthotrees.NewRNG(seed)
-	var xs []int64
-	var g *orthotrees.Graph
-	var want []int64
-	var healthyT orthotrees.Time
-	if alg == "sort" {
-		xs = rng.Perm(n)
-		want, healthyT = orthotrees.Sort(healthy, xs)
-	} else {
-		g = rng.Gnp(n, 2.0/float64(n))
-		orthotrees.LoadGraph(healthy, g)
-		want, healthyT = orthotrees.ConnectedComponents(healthy)
-	}
-	fail(healthy.Err())
-
-	m := build()
-	sched := orthotrees.RandomFaultSchedule(n, events, healthyT, seed)
-	var prog *orthotrees.RecoveryProgram
-	var out func() []int64
-	var err error
-	if alg == "sort" {
-		prog, out, err = orthotrees.SortProgram(m, xs)
-	} else {
-		prog, out, err = orthotrees.ComponentsProgram(m, g)
-	}
-	fail(err)
-	done, runErr := orthotrees.Supervise(m, sched, prog, orthotrees.RecoveryOptions{})
-
-	correct := false
-	if runErr == nil {
-		got := out()
-		if alg == "sort" {
-			correct = len(got) == len(want)
-			for i := range got {
-				correct = correct && got[i] == want[i]
-			}
-		} else {
-			correct = orthotrees.SamePartition(got, want)
+// ones counts the set entries of a 0/1 matrix.
+func ones(c [][]int64) int {
+	n := 0
+	for i := range c {
+		for j := range c[i] {
+			n += int(c[i][j])
 		}
 	}
-	recovered := runErr == nil && correct
-
-	say("supervised %s on a (%d×%d)-OTN (%s): %d scheduled arrival(s)\n", alg, n, n, network, events)
-	say("  healthy baseline: %d bit-times\n", int64(healthyT))
-	say("  supervised run:   %d bit-times (%.3fx)\n", int64(done), float64(done)/float64(healthyT))
-	if h := m.Health(); h != nil {
-		say("%s", h.Report())
-	} else {
-		say("  empty schedule: recovery machinery never engaged\n")
-	}
-
-	if jsonOut {
-		metric := orthotrees.Metric{Area: m.Area(), Time: done}
-		rep := report.Report{
-			Alg: alg, Network: network, Model: dm.Name(), N: n, Seed: seed,
-			Events: events, HealthyTime: int64(healthyT),
-			Time: int64(done), Area: int64(m.Area()), AT2: metric.AT2(),
-			Recovered: recovered, Correct: &correct,
-			Health: report.HealthOf(m.Health()),
-		}
-		if runErr != nil {
-			rep.Error = runErr.Error()
-		}
-		emitJSON(rep)
-	}
-	if runErr != nil {
-		fail(fmt.Errorf("supervisor gave up: %w", runErr))
-	}
-	if !correct {
-		fail(fmt.Errorf("supervised %s recovered but answered wrong", alg))
-	}
-}
-
-func sideOf(n int) int {
-	k := 1
-	for k*k < n {
-		k *= 2
-	}
-	if k*k != n {
-		fail(fmt.Errorf("size %d is not an even power of two", n))
-	}
-	return k
-}
-
-func abs(c complex128) float64 {
-	return math.Hypot(real(c), imag(c))
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "otsim: %v\n", err)
-		os.Exit(1)
-	}
+	return n
 }

@@ -93,15 +93,6 @@ func Or(dst, src []uint64) {
 	}
 }
 
-// Popcount returns the number of set bits across the row words.
-func Popcount(row []uint64) int {
-	n := 0
-	for _, w := range row {
-		n += mathbits.OnesCount64(w)
-	}
-	return n
-}
-
 // ForEach calls f(j) for every set bit j in the row, ascending. It
 // scans word-at-a-time with trailing-zero counts, so sparse rows cost
 // O(words + popcount) rather than O(columns).
@@ -129,28 +120,6 @@ func ForEachMasked(row, mask []uint64, words []int, f func(j int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the first set bit ≥ from in the row, or -1 when no
-// such bit exists.
-func NextSet(row []uint64, from int) int {
-	if from < 0 {
-		from = 0
-	}
-	wi := from / WordBits
-	if wi >= len(row) {
-		return -1
-	}
-	w := row[wi] >> (from % WordBits)
-	if w != 0 {
-		return from + mathbits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(row); wi++ {
-		if row[wi] != 0 {
-			return wi*WordBits + mathbits.TrailingZeros64(row[wi])
-		}
-	}
-	return -1
 }
 
 // PackRow fills dst (at least Words(len(src)) words, pre-zeroed by

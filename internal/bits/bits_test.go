@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -51,8 +52,10 @@ func TestTrailingBitsStayZero(t *testing.T) {
 		if row[1]>>(70-64) != 0 {
 			t.Fatalf("row %d trailing bits set: %x", i, row[1])
 		}
-		if got := Popcount(row); got != 70 {
-			t.Fatalf("row %d popcount = %d, want 70", i, got)
+		n := 0
+		ForEach(row, func(int) { n++ })
+		if n != 70 {
+			t.Fatalf("row %d has %d set bits, want 70", i, n)
 		}
 	}
 }
@@ -94,8 +97,10 @@ func TestOrPopcount(t *testing.T) {
 	if a[0] != 0xFFFF || a[1] != 0x3 {
 		t.Fatalf("Or = %x %x", a[0], a[1])
 	}
-	if got := Popcount(a); got != 18 {
-		t.Fatalf("Popcount = %d, want 18", got)
+	n := 0
+	ForEach(a, func(int) { n++ })
+	if n != 18 {
+		t.Fatalf("Or left %d set bits, want 18", n)
 	}
 }
 
@@ -115,22 +120,13 @@ func TestForEachNextSet(t *testing.T) {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
 	}
-	if j := NextSet(m.Row(0), 0); j != 0 {
-		t.Fatalf("NextSet(0) = %d", j)
-	}
-	if j := NextSet(m.Row(0), 1); j != 5 {
-		t.Fatalf("NextSet(1) = %d", j)
-	}
-	if j := NextSet(m.Row(0), 65); j != 100 {
-		t.Fatalf("NextSet(65) = %d", j)
-	}
-	if j := NextSet(m.Row(0), 130); j != -1 {
-		t.Fatalf("NextSet(130) = %d", j)
+	for j := 0; j < m.N; j++ {
+		if set := m.Get(0, j); set != slices.Contains(want, j) {
+			t.Fatalf("Get(0, %d) = %v", j, set)
+		}
 	}
 	empty := NewMatrix(64)
-	if j := NextSet(empty.Row(0), 0); j != -1 {
-		t.Fatalf("NextSet(empty) = %d", j)
-	}
+	ForEach(empty.Row(0), func(j int) { t.Fatalf("ForEach visited %d in an empty row", j) })
 }
 
 func TestPackRowMatchesScalarOr(t *testing.T) {

@@ -30,10 +30,6 @@ type Snapshot struct {
 // object lifetime into simulated time.
 const CheckpointBanks = 16
 
-// Banks returns the number of register banks captured (a host-side
-// quantity; the cost model charges CheckpointBanks instead).
-func (s *Snapshot) Banks() int { return len(s.banks) }
-
 // routerState is the optional per-router snapshot capability. The
 // native tree routers implement it; emulated (OTC) routers do not,
 // and Snapshot returns SnapshotError for machines built over them.

@@ -55,9 +55,6 @@ func New(p, wordBits int, dimCost func(d int) vlsi.Time) (*Machine, error) {
 	}, nil
 }
 
-// Dims returns the cube dimension count.
-func (m *Machine) Dims() int { return m.dims }
-
 // bank returns (allocating if needed) a register over all PEs.
 func (m *Machine) bank(r string) []int64 {
 	b, ok := m.regs[r]
@@ -80,11 +77,6 @@ func (m *Machine) Load(r string, vals []int64) {
 		panic(fmt.Sprintf("cube: loading %d values into %d PEs", len(vals), m.P))
 	}
 	copy(m.bank(r), vals)
-}
-
-// Dump copies register r out.
-func (m *Machine) Dump(r string) []int64 {
-	return append([]int64(nil), m.bank(r)...)
 }
 
 // Exchange performs one SIMD step along dimension d: every PE p

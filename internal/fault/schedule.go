@@ -96,13 +96,6 @@ func (s *Schedule) Validate(k, treeK int) error {
 	return nil
 }
 
-// PlanAt builds the single-event plan for one delivered arrival,
-// carrying the schedule seed so downstream transient draws stay
-// reproducible.
-func (s *Schedule) PlanAt(i int) *Plan {
-	return New(s.Seed).KillEdge(s.Events[i].Site.Row, s.Events[i].Site.Tree, s.Events[i].Site.Node)
-}
-
 // RandomSchedule scatters n distinct dead-edge arrivals uniformly
 // over the 2k trees of a (k×k)-OTN and over simulated times in
 // [1, horizon], derived entirely from the seed. The same

@@ -117,15 +117,6 @@ func (c *Chip) MaxWireLen() int {
 	return m
 }
 
-// TotalWireLen returns the summed length of all wires.
-func (c *Chip) TotalWireLen() int64 {
-	var t int64
-	for _, w := range c.Wires {
-		t += int64(w.Len())
-	}
-	return t
-}
-
 // Crossings counts proper wire crossings on the chip. Wires are
 // rectilinear; a diagonal connection is decomposed into its
 // horizontal-then-vertical dogleg. The paper notes (Section II-A)

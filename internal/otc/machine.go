@@ -122,9 +122,6 @@ func (m *Machine) Area() vlsi.Area { return m.Geom.Area() }
 // WordTime is the word width as a duration.
 func (m *Machine) WordTime() vlsi.Time { return vlsi.Time(m.Cfg.WordBits) }
 
-// ShiftTime is the cost of one CIRCULATE step.
-func (m *Machine) ShiftTime() vlsi.Time { return m.shift }
-
 // bank returns (allocating if needed) a register over all BPs.
 func (m *Machine) bank(r core.Reg) [][][]int64 {
 	if idx := regIndex(r); idx >= 0 {

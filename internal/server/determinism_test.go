@@ -30,7 +30,7 @@ import (
 func otsimReport(t *testing.T, j *Job) *report.Report {
 	t.Helper()
 	build := func() *core.Machine {
-		m, err := j.build()
+		m, err := j.spec().Build()
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -56,7 +56,7 @@ func otsimReport(t *testing.T, j *Job) *report.Report {
 		}
 		metric := vlsi.Metric{Area: m.Area(), Time: elapsed}
 		rep := &report.Report{
-			Alg: j.Alg, Network: j.network(), Model: j.model().Name(), N: j.N, Seed: j.Seed,
+			Alg: j.Alg, Network: j.spec().NetworkName(), Model: j.spec().DelayModel().Name(), N: j.N, Seed: j.Seed,
 			Time: int64(elapsed), Area: int64(m.Area()), AT2: metric.AT2(),
 			Faults: j.Faults, Recovered: true,
 		}
@@ -114,7 +114,7 @@ func otsimReport(t *testing.T, j *Job) *report.Report {
 	}
 	metric := vlsi.Metric{Area: m.Area(), Time: done}
 	return &report.Report{
-		Alg: j.Alg, Network: j.network(), Model: j.model().Name(), N: j.N, Seed: j.Seed,
+		Alg: j.Alg, Network: j.spec().NetworkName(), Model: j.spec().DelayModel().Name(), N: j.N, Seed: j.Seed,
 		Events: *j.Events, HealthyTime: int64(healthyT),
 		Time: int64(done), Area: int64(m.Area()), AT2: metric.AT2(),
 		Recovered: correct, Correct: &correct,
@@ -237,7 +237,7 @@ func TestPackedLargeN(t *testing.T) {
 		{Alg: "cc", N: 1024, Seed: 6},
 	} {
 		rep, _ := postJob(t, ts, j)
-		eng, err := packed.EngineFor(j.N, j.config(), false)
+		eng, err := packed.EngineFor(j.N, j.spec().Config(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

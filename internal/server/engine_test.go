@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// TestEngineChoice pins the one engine decision (packedEngine) over
+// TestEngineChoice pins the one engine decision (run.Spec.Packed) over
 // alg × faults × events × flag × network: every healthy cc job and
 // session runs packed whatever the flag says, and sort, faulty and
 // supervised runs stay on the scalar machine. Each row checks the
@@ -150,7 +150,7 @@ func TestCompactSnapshotIffPackedEngine(t *testing.T) {
 						if ss == nil {
 							t.Fatal("live session captured no snapshot")
 						}
-						want := spec.job().packedEngine()
+						want := spec.job().spec().Packed()
 						if compact := ss.State != nil; compact != want {
 							t.Fatalf("compact state = %v, packed engine = %v", compact, want)
 						}
@@ -161,7 +161,7 @@ func TestCompactSnapshotIffPackedEngine(t *testing.T) {
 						onPacked := sess.pinc != nil
 						sess.lock.Unlock()
 						if onPacked != want {
-							t.Fatalf("session runs packed = %v, packedEngine() = %v", onPacked, want)
+							t.Fatalf("session runs packed = %v, Packed() = %v", onPacked, want)
 						}
 					})
 				}

@@ -32,7 +32,7 @@ import (
 	"time"
 
 	"repro/internal/rescache"
-	"repro/internal/vlsi"
+	"repro/internal/run"
 )
 
 // MaxN bounds accepted problem sizes: an (N×N)-OTN holds 2N trees of
@@ -41,7 +41,7 @@ import (
 const MaxN = 256
 
 // PackedMaxN is the size bound for jobs the packed engine serves (see
-// packedEngine). The packed engine holds no machine at all — a few
+// run.Spec.Packed). The packed engine holds no machine at all — a few
 // fused duration tables plus O(N²/64) words of adjacency per run — so
 // admission can afford four times the scalar bound.
 const PackedMaxN = 1024
@@ -71,7 +71,7 @@ type Job struct {
 
 	// Packed is kept for compatibility and chooses nothing: every
 	// healthy "cc" job runs on the packed engine whatever it says
-	// (packedEngine). Its validation rules stay — combining it with
+	// (run.Spec.Packed). Its validation rules stay — combining it with
 	// "sort", faults or events is still an error — so requests that
 	// set it are answered as before.
 	Packed bool `json:"packed,omitempty"`
@@ -100,13 +100,20 @@ type Job struct {
 // supervisor.
 func (j *Job) Supervised() bool { return j.Events != nil }
 
+// spec is the job's computation, the part of it run.Run reads.
+func (j *Job) spec() run.Spec {
+	return run.Spec{Alg: j.Alg, Network: j.Network, Model: j.Model,
+		N: j.N, Seed: j.Seed, Faults: j.Faults, Events: j.Events}
+}
+
 // Deadline returns the job's latency bound, or 0.
 func (j *Job) Deadline() time.Duration {
 	return time.Duration(j.DeadlineMS) * time.Millisecond
 }
 
-// Validate rejects malformed jobs before they cost anything. The
-// rules mirror otsim's flag validation plus the service's size bound.
+// Validate rejects malformed jobs before they cost anything: the
+// spec's own rules (run.Spec.Validate), the service's networks and
+// size bound, and the legacy packed flag's rejections.
 func (j *Job) Validate() error {
 	switch j.Alg {
 	case "sort", "cc":
@@ -118,10 +125,9 @@ func (j *Job) Validate() error {
 	default:
 		return fmt.Errorf("unknown network %q (otn | scaled)", j.Network)
 	}
-	switch j.Model {
-	case "", "log", "const", "linear":
-	default:
-		return fmt.Errorf("unknown model %q (log | const | linear)", j.Model)
+	s := j.spec()
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	if j.Packed {
 		if j.Alg != "cc" {
@@ -132,20 +138,11 @@ func (j *Job) Validate() error {
 		}
 	}
 	limit := MaxN
-	if j.packedEngine() {
+	if s.Packed() {
 		limit = PackedMaxN
 	}
 	if j.N < 2 || j.N > limit || j.N&(j.N-1) != 0 {
 		return fmt.Errorf("n = %d must be a power of two in [2, %d]", j.N, limit)
-	}
-	if j.Faults < 0 {
-		return fmt.Errorf("faults = %d must be non-negative", j.Faults)
-	}
-	if j.Events != nil && *j.Events < 0 {
-		return fmt.Errorf("events = %d must be non-negative", *j.Events)
-	}
-	if j.Events != nil && j.Faults > 0 {
-		return fmt.Errorf("events (dynamic arrivals) and faults (static plan) are separate modes; pick one")
 	}
 	if j.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms = %d must be non-negative", j.DeadlineMS)
@@ -153,65 +150,25 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// network returns the family with the default applied.
-func (j *Job) network() string {
-	if j.Network == "" {
-		return "otn"
-	}
-	return j.Network
-}
-
-// model resolves the wire-delay model with the default applied.
-func (j *Job) model() vlsi.DelayModel {
-	switch j.Model {
-	case "const":
-		return vlsi.ConstantDelay{}
-	case "linear":
-		return vlsi.LinearDelay{}
-	default:
-		return vlsi.LogDelay{}
-	}
-}
-
 // Class is the circuit-breaker key: jobs of one class
 // are interchangeable resource-wise — same machine shape, same
 // workload family, same supervision mode.
 func (j *Job) Class() string {
+	s := j.spec()
 	mode := "plain"
 	if j.Supervised() {
 		mode = "supervised"
 	} else if j.Faults > 0 {
 		mode = "faulty"
-	} else if j.packedEngine() {
+	} else if s.Packed() {
 		mode = "packed"
 	}
-	return fmt.Sprintf("%s/%s/%s/%d/%s", j.Alg, j.network(), j.modelName(), j.N, mode)
-}
-
-// packedEngine is the server's one engine decision: a healthy,
-// unsupervised "cc" computation — job or session, on either network
-// and under any delay model — runs on the machine-free packed engine,
-// whose reports are pinned byte-identical to the scalar machine's.
-// Sorts, static fault plans and supervised runs need the scalar
-// machine: their effects happen during tree traversal, which the fused
-// duration tables cannot express. The Packed field plays no part.
-func (j *Job) packedEngine() bool {
-	return j.Alg == "cc" && j.Faults == 0 && j.Events == nil
-}
-
-// modelName is the resolved model's report name key ("log", "const",
-// "linear") — kept distinct from the DelayModel.Name() used in
-// reports, which is the long form.
-func (j *Job) modelName() string {
-	if j.Model == "" {
-		return "log"
-	}
-	return j.Model
+	return fmt.Sprintf("%s/%s/%s/%d/%s", j.Alg, s.NetworkName(), s.ModelName(), j.N, mode)
 }
 
 // Batchable reports whether the job is a plain sort on native OTN routers; the bench module reads it.
 func (j *Job) Batchable() bool {
-	return j.Alg == "sort" && j.network() == "otn" && j.Faults == 0 && !j.Supervised()
+	return j.Alg == "sort" && j.spec().NetworkName() == "otn" && j.Faults == 0 && !j.Supervised()
 }
 
 // jobFingerprint is the canonical, result-determining projection of a
@@ -233,11 +190,12 @@ type jobFingerprint struct {
 
 // Fingerprint returns the job's result-cache key: a hash of the
 // canonical-JSON projection above. The engine is not part of it: the
-// other fields decide it (packedEngine), so a job that sets Packed and
+// other fields decide it (run.Spec.Packed), so a job that sets Packed and
 // one that does not share one entry.
 func (j *Job) Fingerprint() string {
+	s := j.spec()
 	fp := jobFingerprint{
-		Alg: j.Alg, Network: j.network(), Model: j.modelName(),
+		Alg: j.Alg, Network: s.NetworkName(), Model: s.ModelName(),
 		N: j.N, Seed: j.Seed, Faults: j.Faults,
 	}
 	if j.Supervised() {

@@ -200,7 +200,7 @@ func (p *Pool) run(qj *queuedJob) {
 		m.inflight--
 		if err == nil {
 			m.completed++
-			if j.packedEngine() {
+			if j.spec().Packed() {
 				m.packedJobs++
 				m.packedBits += int64(j.N)
 				m.packedSlots += int64(bits.Words(j.N) * bits.WordBits)

@@ -159,11 +159,11 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 		return fmt.Errorf("rng state %q: %w", ss.RNG, err)
 	}
 	spec := ss.Spec
-	j := spec.job()
+	rs := spec.job().spec()
 	now := s.now()
 	sess := &Session{
 		id: ss.ID, spec: spec, created: now, lastUsed: now,
-		key: j.key(), rng: workload.NewRNG(spec.Seed),
+		key: rs.Key(), rng: workload.NewRNG(spec.Seed),
 	}
 	sess.rng.SetState(rngState)
 	if spec.Grid {
@@ -182,9 +182,9 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 		sess.stream = g.Clone()
 	}
 	// A compact snapshot is only written for a session with no faults
-	// and no events, which is exactly a spec packedEngine sends to the
-	// packed engine.
-	eng, err := j.engine()
+	// and no events, which is exactly a spec run.Spec.Packed sends to
+	// the packed engine.
+	eng, err := rs.Engine()
 	if err != nil {
 		return err
 	}

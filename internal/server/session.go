@@ -270,7 +270,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 // initial labeling. On failure the machine (if any) is dropped back to
 // the cache.
 func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec) (*Session, *report.Report, int, string) {
-	j := spec.job()
+	rs := spec.job().spec()
 	rng := workload.NewRNG(spec.Seed)
 	var g *workload.Graph
 	var img *workload.Image
@@ -285,14 +285,14 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 	now := s.now()
 	sess := &Session{
 		id: id, spec: spec, created: now, lastUsed: now,
-		img: img, rng: rng, key: j.key(),
+		img: img, rng: rng, key: rs.Key(),
 	}
 	if !spec.Grid {
 		sess.stream = g.Clone()
 	}
 
-	if j.packedEngine() {
-		eng, err := j.engine()
+	if rs.Packed() {
+		eng, err := rs.Engine()
 		if err != nil {
 			return nil, nil, http.StatusInternalServerError, err.Error()
 		}
@@ -303,12 +303,12 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 		return sess, s.sessionReport(sess, 0, t0, graph.BatchStats{}, nil, 0), 0, ""
 	}
 
-	m, err := s.scache.CheckoutContext(ctx, sess.key, j.build)
+	m, err := s.scache.CheckoutContext(ctx, sess.key, rs.Build)
 	if err != nil {
 		return nil, nil, http.StatusInternalServerError, err.Error()
 	}
 	if spec.Faults > 0 {
-		if err := m.InjectFaults(fault.Random(spec.N, spec.Faults, spec.Seed)); err != nil {
+		if err := m.InjectFaults(rs.FaultPlan()); err != nil {
 			s.scache.Return(sess.key, m)
 			return nil, nil, http.StatusInternalServerError, err.Error()
 		}
@@ -341,10 +341,10 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 // delivered during it.
 func (s *Server) sessionReport(sess *Session, batch int, dur vlsi.Time, st graph.BatchStats, runErr error, delivered int) *report.Report {
 	spec := sess.spec
-	j := spec.job()
+	rs := spec.job().spec()
 	metric := vlsi.Metric{Area: sess.area, Time: dur}
 	rep := &report.Report{
-		Alg: "cc", Network: j.network(), Model: j.model().Name(), N: spec.N, Seed: spec.Seed,
+		Alg: "cc", Network: rs.NetworkName(), Model: rs.DelayModel().Name(), N: spec.N, Seed: spec.Seed,
 		Time: int64(dur), Area: int64(sess.area), AT2: metric.AT2(),
 		HealthyTime: int64(sess.clock),
 		Faults:      spec.Faults,

@@ -77,7 +77,7 @@ func TestSessionMatchesLocalIncremental(t *testing.T) {
 	rng := workload.NewRNG(seed)
 	g := rng.Gnp(n, 2.0/float64(n))
 	stream := g.Clone()
-	m, err := (&Job{Alg: "cc", N: n, Seed: seed}).build()
+	m, err := (&Job{Alg: "cc", N: n, Seed: seed}).spec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSessionPackedMatchesScalar(t *testing.T) {
 	rng := workload.NewRNG(seed)
 	g := rng.Gnp(n, 2.0/float64(n))
 	stream := g.Clone()
-	m, err := j.build()
+	m, err := j.spec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSessionPackedMatchesScalar(t *testing.T) {
 	want := func(batch int, dur vlsi.Time, st graph.BatchStats, labels []int64) *report.Report {
 		metric := vlsi.Metric{Area: m.Area(), Time: dur}
 		return &report.Report{
-			Alg: "cc", Network: j.network(), Model: j.model().Name(), N: n, Seed: seed,
+			Alg: "cc", Network: j.spec().NetworkName(), Model: j.spec().DelayModel().Name(), N: n, Seed: seed,
 			Time: int64(dur), Area: int64(m.Area()), AT2: metric.AT2(),
 			HealthyTime: int64(clock), Recovered: true,
 			Batch: batch, Updates: st.Updates, Affected: st.Affected,

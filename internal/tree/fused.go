@@ -101,15 +101,3 @@ func NewFused(geom *layout.TreeGeom, cfg vlsi.Config, scaled bool) (*Fused, erro
 	}
 	return f, nil
 }
-
-// MaxGather returns the largest leaf→root duration — the ParDo
-// completion of a gather whose source leaf differs per vector.
-func (f *Fused) MaxGather() vlsi.Time {
-	var m vlsi.Time
-	for _, g := range f.Gather {
-		if g > m {
-			m = g
-		}
-	}
-	return m
-}
