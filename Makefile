@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench benchcmp benchsmoke benchroutes benchpacked benchincremental servesmoke servesweep chaossmoke cachesmoke benchmod ci
+.PHONY: build test vet race fuzz bench benchcmp benchsmoke benchpacked benchincremental servesmoke servesweep chaossmoke cachesmoke benchmod ci
 
 build:
 	$(GO) build ./...
@@ -51,12 +51,6 @@ bench:
 # metrics gate exactly, allocs/op gates with slack, ns/op informs.
 benchcmp:
 	$(GO) run ./cmd/otbench -compare BENCH.json
-
-# Route-bound benchmarks compiled vs interpreted: the
-# plan-once/replay-many speedup table, plus an exact equality check on
-# every simulated metric between the two modes.
-benchroutes:
-	$(GO) run ./cmd/otbench -routes
 
 # One-iteration pass over every benchmark: compile + run smoke, no
 # timing fidelity intended. The Table1SortOTN pass runs twice so the
@@ -138,6 +132,5 @@ benchmod:
 # cachesmoke adds a few seconds: one more race-built otserve cycle
 # under a zipf workload with a byte-identity check on a cached answer.
 # benchcmp (about 35s) gates every simulated metric exactly against
-# BENCH.json, allocs/op and bytes/op with slack, and peak RSS;
-# benchroutes checks compiled and interpreted routing agree exactly.
-ci: build vet test benchmod race benchsmoke benchcmp benchroutes benchpacked benchincremental servesmoke cachesmoke chaossmoke
+# BENCH.json, allocs/op and bytes/op with slack, and peak RSS.
+ci: build vet test benchmod race benchsmoke benchcmp benchpacked benchincremental servesmoke cachesmoke chaossmoke

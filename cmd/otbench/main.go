@@ -26,7 +26,6 @@
 //	otbench -json BENCH.json  # run the bench suite, write the baseline
 //	otbench -compare BENCH.json          # re-run, diff against baseline
 //	otbench -json new.json -compare BENCH.json
-//	otbench -routes           # compiled vs interpreted routing table
 //	otbench -packed           # packed-engine scaling: Table III out to N=1024
 //	otbench -incremental      # streamed labeling: incremental vs full recompute
 //	otbench -compare BENCH.json -hosttol 30   # also gate ns/op regressions >30%
@@ -63,7 +62,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text | markdown")
 	jsonOut := flag.String("json", "", "run the benchmark suite and write results to this file")
 	compare := flag.String("compare", "", "run the benchmark suite and diff against this baseline file")
-	routes := flag.Bool("routes", false, "run the route-bound benchmarks compiled and interpreted and print the comparison table")
 	packedSweep := flag.Bool("packed", false, "run the packed-engine scaling study (Table III extended to N=1024) and print the table")
 	incremental := flag.Bool("incremental", false, "run the incremental streaming-labeling study and the incremental-vs-recompute host-cost table")
 	servesweep := flag.Bool("servesweep", false, "drive an in-process otserve at three offered-load levels and print the degradation table, then the compute-once (result cache on vs off) zipf sweep")
@@ -92,8 +90,6 @@ func main() {
 		packedMode(*sizes, *format)
 	} else if *incremental {
 		ok = incrementalMode(*sizes, *format)
-	} else if *routes {
-		ok = routesMode()
 	} else if *jsonOut != "" || *compare != "" {
 		ok = benchMode(*jsonOut, *compare)
 	} else {
@@ -266,11 +262,6 @@ type BenchFile struct {
 // the machine running the comparison.
 var hostTolPct float64
 
-// compileRoutes is flipped by -routes to run the suite's
-// route-bound entries with compiled schedules disabled; every other
-// mode leaves it at the machines' default (enabled).
-var compileRoutes = true
-
 // simMap collects the simulated metrics a benchmark body produces.
 // Bodies overwrite the same keys every b.N loop, so the recorded
 // values are those of the final iteration — which determinism
@@ -319,7 +310,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		xs := orthotrees.NewRNG(11).Perm(64)
 		var done orthotrees.Time
 		timed(b, func() {
@@ -334,7 +324,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		r := m.Router(orthotrees.Vector{IsRow: true})
 		var done orthotrees.Time
 		timed(b, func() {
@@ -348,7 +337,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		r := m.Router(orthotrees.Vector{IsRow: true})
 		var done orthotrees.Time
 		timed(b, func() {
@@ -362,7 +350,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		r := m.Router(orthotrees.Vector{IsRow: true})
 		src, dst := r.Leaf(0), r.Leaf(63)
 		var done orthotrees.Time
@@ -377,7 +364,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		vec := orthotrees.Vector{IsRow: true}
 		m.Set("A", 0, 5, 42)
 		var done orthotrees.Time
@@ -401,7 +387,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		g := benchGraph(256)
 		var done orthotrees.Time
 		timed(b, func() {
@@ -420,7 +405,6 @@ var suite = []suiteDef{
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.SetRouteCompile(compileRoutes)
 		sel := core.One(5)
 		var done orthotrees.Time
 		timed(b, func() {
@@ -575,61 +559,6 @@ func peakRSSKB() int64 {
 		}
 	}
 	return 0
-}
-
-// routeSuiteNames selects the suite entries whose host cost is
-// dominated by tree routing — the ones the compiled-schedule layer
-// accelerates. Table sweeps are excluded: they rebuild machines per
-// size, mixing construction cost into the measurement.
-var routeSuiteNames = map[string]bool{
-	"SortOTN/n=64":       true,
-	"TreeBroadcast/K=64": true,
-	"TreeReduce/K=64":    true,
-	"TreeRoute/K=64":     true,
-	"LeafToLeaf/K=64":    true,
-	"ParDoSweep/K=64":    true,
-}
-
-// routesMode runs each route-bound benchmark twice — once with
-// compiled routing schedules disabled (pure interpretation) and once
-// with the default plan-once/replay-many path — and prints the
-// comparison. The simulated quantities of the two runs must agree
-// exactly; a mismatch is a correctness failure, not a perf delta.
-func routesMode() bool {
-	var entries []suiteDef
-	for _, def := range suite {
-		if routeSuiteNames[def.name] {
-			entries = append(entries, def)
-		}
-	}
-	ok := true
-	fmt.Printf("%-28s %14s %14s %9s %12s %12s\n",
-		"benchmark", "interp ns/op", "compiled ns/op", "speedup", "interp allocs", "comp allocs")
-	for _, e := range entries {
-		compileRoutes = false
-		interp := measure(e.name+"/interp", e.run)
-		compileRoutes = true
-		comp := measure(e.name+"/compiled", e.run)
-		for k, want := range interp.Simulated {
-			if got, has := comp.Simulated[k]; !has || got != want {
-				fmt.Fprintf(os.Stderr, "FAIL %s: compiled simulated %q = %v, interpreted %v\n",
-					e.name, k, comp.Simulated[k], want)
-				ok = false
-			}
-		}
-		speedup := math.NaN()
-		if comp.NsPerOp > 0 {
-			speedup = float64(interp.NsPerOp) / float64(comp.NsPerOp)
-		}
-		fmt.Printf("%-28s %14d %14d %8.2fx %12d %12d\n",
-			e.name, interp.NsPerOp, comp.NsPerOp, speedup, interp.AllocsPerOp, comp.AllocsPerOp)
-	}
-	if ok {
-		fmt.Println("routes: simulated metrics identical compiled vs interpreted")
-	} else {
-		fmt.Fprintln(os.Stderr, "routes: FAILED (compiled run diverged from interpretation)")
-	}
-	return ok
 }
 
 // allocSlack is the -compare tolerance on allocs/op: small counts

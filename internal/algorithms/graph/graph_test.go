@@ -124,7 +124,7 @@ func TestConnectedComponentsShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := c.build()
-		n := vlsi.NextPow2(g.N)
+		n := 1 << vlsi.Log2Ceil(g.N)
 		// Pad to a power-of-two machine with isolated vertices.
 		padded := workload.NewGraph(n)
 		for i := 0; i < g.N; i++ {
@@ -338,7 +338,7 @@ func TestComponentsStructuredFamilies(t *testing.T) {
 		}(),
 	}
 	for name, g := range families {
-		n := vlsi.NextPow2(g.N)
+		n := 1 << vlsi.Log2Ceil(g.N)
 		padded := workload.NewGraph(n)
 		for i := 0; i < g.N; i++ {
 			for j := i + 1; j < g.N; j++ {

@@ -123,17 +123,6 @@ func (e *Experiment) BestAT2() (network string, n int) {
 	return network, n
 }
 
-// AT2At returns the measured A·T² of a network at size n (NaN if
-// absent).
-func (e *Experiment) AT2At(network string, n int) float64 {
-	for _, r := range e.rowsOf(network) {
-		if r.N == n {
-			return r.AT2()
-		}
-	}
-	return math.NaN()
-}
-
 // Markdown renders the experiment as GitHub-flavoured markdown
 // tables, for inclusion in reports such as EXPERIMENTS.md.
 func (e *Experiment) Markdown() string {

@@ -28,8 +28,8 @@ func TestExperimentHelpers(t *testing.T) {
 	if best != "a" || n != 16 {
 		t.Errorf("BestAT2 = %s at %d", best, n)
 	}
-	if !math.IsNaN(e.AT2At("missing", 4)) {
-		t.Error("AT2At for missing row should be NaN")
+	if !math.IsNaN(at2At(e, "missing", 4)) {
+		t.Error("at2At for missing row should be NaN")
 	}
 	r := e.Render()
 	for _, want := range []string{"T — x", "network", "best measured"} {
@@ -83,7 +83,7 @@ func TestTable1Sorting(t *testing.T) {
 		t.Errorf("mesh time %d not well above otn time %d", meshTime, otnTime)
 	}
 	// And the OTC uses less area than the OTN for the same problem.
-	if ao, at := e.AT2At("otn", 256), e.AT2At("otc", 256); at >= ao {
+	if ao, at := at2At(e, "otn", 256), at2At(e, "otc", 256); at >= ao {
 		t.Errorf("otc A·T² %g not below otn %g (the Table I relation)", at, ao)
 	}
 }
@@ -150,8 +150,8 @@ func TestTable2BoolMatMul(t *testing.T) {
 	}
 	// OTN beats PSN absolutely at the top size (same time class,
 	// N² less area-growth).
-	if e.AT2At("otn", 16) >= e.AT2At("psn", 16) {
-		t.Errorf("otn A·T² %g not below psn %g at N=16", e.AT2At("otn", 16), e.AT2At("psn", 16))
+	if at2At(e, "otn", 16) >= at2At(e, "psn", 16) {
+		t.Errorf("otn A·T² %g not below psn %g at N=16", at2At(e, "otn", 16), at2At(e, "psn", 16))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestTable3Components(t *testing.T) {
 	// networks, while using chip areas comparable to slow-but-small
 	// networks".
 	for _, other := range []string{"mesh", "psn", "ccc"} {
-		if e.AT2At("otc", 64) >= e.AT2At(other, 64) {
-			t.Errorf("otc A·T² %g not below %s %g", e.AT2At("otc", 64), other, e.AT2At(other, 64))
+		if at2At(e, "otc", 64) >= at2At(e, other, 64) {
+			t.Errorf("otc A·T² %g not below %s %g", at2At(e, "otc", 64), other, at2At(e, other, 64))
 		}
 	}
 	best, _ := e.BestAT2()
@@ -267,7 +267,7 @@ func TestMatMul3DStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The 3D arrangement is at least as fast on the same product.
-	if e.AT2At("mot3d", 8) <= 0 {
+	if at2At(e, "mot3d", 8) <= 0 {
 		t.Fatal("missing mot3d row")
 	}
 	var t2, t3 vlsi.Time
@@ -306,4 +306,15 @@ func TestMarkdownRendering(t *testing.T) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
 	}
+}
+
+// at2At returns the measured A·T² of a network at size n (NaN if
+// absent).
+func at2At(e *Experiment, network string, n int) float64 {
+	for _, r := range e.rowsOf(network) {
+		if r.N == n {
+			return r.AT2()
+		}
+	}
+	return math.NaN()
 }

@@ -104,14 +104,3 @@ func (c *Machine) BitonicSort(xs []int64, rel vlsi.Time) ([]int64, vlsi.Time) {
 	}
 	return vals, t
 }
-
-// AscendSteps returns the communication time of one full ASCEND (or
-// DESCEND) sweep over all dimensions — the primitive Preparata and
-// Vuillemin build every CCC algorithm from.
-func (c *Machine) AscendSteps() vlsi.Time {
-	var t vlsi.Time
-	for d := 0; d < c.m; d++ {
-		t += c.DimTime(d)
-	}
-	return t
-}

@@ -109,14 +109,18 @@ func TestConstantDelayModelFaster(t *testing.T) {
 	}
 }
 
+// TestAscendSteps: the communication time of one full ASCEND (or
+// DESCEND) sweep over all dimensions — the primitive Preparata and
+// Vuillemin build every CCC algorithm from — costs at least one
+// bit-time per dimension.
 func TestAscendSteps(t *testing.T) {
 	c := machine(t, 256)
-	if c.AscendSteps() <= 0 {
-		t.Error("ascend sweep costs nothing")
+	var sweep vlsi.Time
+	for d := 0; d < c.m; d++ {
+		sweep += c.DimTime(d)
 	}
-	// A full sweep costs at least one dim-time per dimension.
-	if c.AscendSteps() < vlsi.Time(c.m) {
-		t.Error("ascend sweep implausibly cheap")
+	if sweep < vlsi.Time(c.m) {
+		t.Errorf("ascend sweep %d cheaper than one bit-time per dimension (%d)", sweep, c.m)
 	}
 }
 

@@ -63,16 +63,8 @@ const (
 
 func (c Combine) valid() bool { return c == Sum || c == Min }
 
-// Apply combines two child words, rejecting unknown operations with a
-// typed error. The engine's entry points validate the operation once,
-// so the per-IP hot path uses the unchecked apply.
-func (c Combine) Apply(a, b int64) (int64, error) {
-	if !c.valid() {
-		return 0, &CombineError{Op: c}
-	}
-	return c.apply(a, b), nil
-}
-
+// apply combines two child words. The engine's entry points validate
+// the operation once, so the per-IP hot path needs no check.
 func (c Combine) apply(a, b int64) int64 {
 	if c == Sum {
 		return a + b

@@ -125,20 +125,19 @@ func TestReduceArityError(t *testing.T) {
 }
 
 func TestCombineApply(t *testing.T) {
-	if v, err := Sum.Apply(3, 4); err != nil || v != 7 {
-		t.Errorf("sum = %d, %v", v, err)
+	if v := Sum.apply(3, 4); v != 7 {
+		t.Errorf("sum = %d", v)
 	}
-	if v, _ := Min.Apply(3, 4); v != 3 {
+	if v := Min.apply(3, 4); v != 3 {
 		t.Error("min wrong")
 	}
-	if v, _ := Min.Apply(9, 2); v != 2 {
+	if v := Min.apply(9, 2); v != 2 {
 		t.Error("min wrong")
 	}
-	_, err := Combine(99).Apply(1, 2)
+	if Combine(99).valid() {
+		t.Fatal("unknown combine valid")
+	}
 	var ce *CombineError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CombineError, got %v", err)
-	}
 	if _, _, err := mustEngine(t, 4).Reduce(context.Background(), make([]int64, 4), make([]vlsi.Time, 4), Combine(99)); !errors.As(err, &ce) {
 		t.Errorf("Reduce with unknown combine: want *CombineError, got %v", err)
 	}

@@ -82,25 +82,6 @@ func All(int) bool { return true }
 // One returns a selector matching exactly position j.
 func One(j int) Sel { return func(k int) bool { return k == j } }
 
-// Range returns a selector matching positions lo ≤ k < hi.
-func Range(lo, hi int) Sel { return func(k int) bool { return k >= lo && k < hi } }
-
-// Even matches even positions (the paper's "j : j is even" example).
-func Even(k int) bool { return k%2 == 0 }
-
-// None selects no position.
-func None(int) bool { return false }
-
-// Not inverts a selector (nil meaning "all" inverts to "none"). The
-// nil case is resolved here, at combine time, rather than per element
-// inside the primitives' K-length loops.
-func Not(s Sel) Sel {
-	if s == nil {
-		return None
-	}
-	return func(k int) bool { return !s(k) }
-}
-
 // And intersects selectors (nil operands mean "all"). Nil operands
 // are dropped at combine time, so the common one-sided cases return
 // the other operand unchanged — no closure, no per-element nil test.
@@ -115,15 +96,6 @@ func And(a, b Sel) Sel {
 		return a
 	}
 	return func(k int) bool { return a(k) && b(k) }
-}
-
-// Or unions selectors (a nil operand means "all", so the union is
-// "all").
-func Or(a, b Sel) Sel {
-	if a == nil || b == nil {
-		return All
-	}
-	return func(k int) bool { return a(k) || b(k) }
 }
 
 // Router is the communication service of one row or column tree. The
@@ -507,8 +479,7 @@ type routeCompiler interface{ SetCompile(on bool) }
 // replay-many traversal, see internal/tree/plan.go) on every router
 // that supports it. Compilation is on by default; disabling pins the
 // machine to pure interpretation — the reference side of the
-// differential tests and of otbench -routes. Simulated bit-times are
-// identical either way.
+// differential tests. Simulated bit-times are identical either way.
 func (m *Machine) SetRouteCompile(on bool) {
 	for i := 0; i < m.K; i++ {
 		if c, ok := m.rows[i].(routeCompiler); ok {

@@ -209,18 +209,6 @@ func (m *Machine) CountLeafToLeaf(vec Vector, flag Reg, dstSel Sel, dst Reg, rel
 	return m.RootToLeaf(vec, dstSel, dst, t)
 }
 
-// SumLeafToLeaf is composite operation 3.
-func (m *Machine) SumLeafToLeaf(vec Vector, srcSel Sel, src Reg, dstSel Sel, dst Reg, rel vlsi.Time) vlsi.Time {
-	t := m.SumLeafToRoot(vec, srcSel, src, rel)
-	return m.RootToLeaf(vec, dstSel, dst, t)
-}
-
-// MinLeafToLeaf is the MIN composite used by the graph algorithms.
-func (m *Machine) MinLeafToLeaf(vec Vector, srcSel Sel, src Reg, dstSel Sel, dst Reg, rel vlsi.Time) vlsi.Time {
-	t := m.MinLeafToRoot(vec, srcSel, src, rel)
-	return m.RootToLeaf(vec, dstSel, dst, t)
-}
-
 // CompareExchange is the COMPEX step of Section IV's bitonic
 // algorithms: BPs at positions k and k+stride (k & stride == 0)
 // exchange register reg through their lowest common ancestor; the
@@ -280,9 +268,10 @@ func (m *Machine) CompareExchange(vec Vector, stride int, reg Reg, asc func(k in
 // register dst of BP perm[k] — k's word travels up to the lowest
 // common ancestor of leaves k and perm[k] and back down, and words
 // sharing edges serialize. This is the general data-rearrangement
-// step behind the skew of the integer multiplier and the staging
-// moves of the graph programs; its cost ranges from Θ(log² K) for
-// local permutations to Θ(K log K) when many words cross the root.
+// step; the integer multiplier's skew charges exactly these routes
+// inline, because it splits each word between two registers. Its
+// cost ranges from Θ(log² K) for local permutations to Θ(K log K)
+// when many words cross the root.
 // Words whose source or target leaf is cut travel through orthogonal
 // trees.
 func (m *Machine) PermuteVector(vec Vector, perm []int, src, dst Reg, rel vlsi.Time) vlsi.Time {

@@ -37,8 +37,9 @@ func TestExchange(t *testing.T) {
 	vals := []int64{0, 1, 2, 3, 4, 5, 6, 7}
 	m.Load("x", vals)
 	done := m.Exchange(1, "x", "y", 0)
-	if done <= 0 {
-		t.Error("exchange took no time")
+	// One dimension step plus the word.
+	if want := m.DimCost(1) + vlsi.Time(m.WordBits); done != want {
+		t.Errorf("exchange time %d, want %d", done, want)
 	}
 	for p := 0; p < 8; p++ {
 		if m.Get("y", p) != vals[p^2] {
@@ -65,7 +66,11 @@ func TestSegReduceMin(t *testing.T) {
 func TestSegBroadcast(t *testing.T) {
 	m := machine(t, 8)
 	m.Load("x", []int64{10, 0, 0, 0, 20, 0, 0, 0})
-	m.SegBroadcast(2, "x", "y", 0)
+	done := m.SegBroadcast(2, "x", "y", 0)
+	// A DESCEND sweep over the two low dimensions.
+	if want := m.DimCost(1) + m.DimCost(0) + 2*vlsi.Time(m.WordBits); done != want {
+		t.Errorf("segmented broadcast time %d, want %d", done, want)
+	}
 	for p := 0; p < 8; p++ {
 		want := int64(10)
 		if p >= 4 {

@@ -324,9 +324,6 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// K returns the number of leaves of the viewed tree.
-func (f *TreeFaults) K() int { return f.k }
-
 // Dead reports whether the view cuts any hardware (as opposed to a
 // transient-only view).
 func (f *TreeFaults) Dead() bool { return f != nil && f.deadUp != nil }
@@ -383,16 +380,6 @@ func (f *TreeFaults) MaxRetries() int {
 		return DefaultMaxRetries
 	}
 	return f.maxRetries
-}
-
-// Health returns the shared health counters (never nil on a view
-// produced by ForTree with a non-nil Health; may be nil on hand-built
-// views, so callers use the Record* helpers below).
-func (f *TreeFaults) Health() *Health {
-	if f == nil {
-		return nil
-	}
-	return f.health
 }
 
 // CorruptAscent decides — deterministically, from the plan seed, the

@@ -86,32 +86,6 @@ func (h *Health) CutFailures(keep int) int {
 	return dropped
 }
 
-// Merge folds another ledger into h: counters and latencies add,
-// failure lists concatenate in call order. Supervised replicas each
-// record into a private ledger and merge in order afterwards, which
-// keeps the combined ledger deterministic without sharing memory
-// across goroutines.
-func (h *Health) Merge(o *Health) {
-	if h == nil || o == nil {
-		return
-	}
-	h.DeadEdges += o.DeadEdges
-	h.DeadIPs += o.DeadIPs
-	h.StuckBPs += o.StuckBPs
-	h.Transients += o.Transients
-	h.Retries += o.Retries
-	h.Reroutes += o.Reroutes
-	h.RetryLatency += o.RetryLatency
-	h.RerouteLatency += o.RerouteLatency
-	h.Arrivals += o.Arrivals
-	h.Checkpoints += o.Checkpoints
-	h.Rollbacks += o.Rollbacks
-	h.Healed += o.Healed
-	h.CheckpointOverhead += o.CheckpointOverhead
-	h.RollbackLatency += o.RollbackLatency
-	h.errs = append(h.errs, o.errs...)
-}
-
 // Reroute notes one word detoured through orthogonal trees and the
 // bit-times the detour added.
 func (h *Health) Reroute(added vlsi.Time) {

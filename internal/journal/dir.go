@@ -327,9 +327,6 @@ func (j *Journal) Stats() Stats {
 	return s
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close syncs and closes the active segment. Further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -88,32 +88,3 @@ func CCCDimWire(n, d int) int {
 	}
 	return l
 }
-
-// PSNShuffleWire returns the length of the shuffle wire leaving
-// processor p in an n-node shuffle-exchange layout. The shuffle
-// permutation moves p to 2p mod (n−1); in a row-major layout the wire
-// length is proportional to the index distance, capped by the layout
-// diameter. Exchange wires connect neighbours (length Θ(1)).
-func PSNShuffleWire(n, p int) int {
-	if n < 4 {
-		return 2
-	}
-	dst := (2 * p) % (n - 1)
-	if p == n-1 {
-		dst = n - 1
-	}
-	d := dst - p
-	if d < 0 {
-		d = -d
-	}
-	// The optimal layout folds the ring so distances scale down by
-	// the log² n packing factor; clamp to the known maximum.
-	l := d/vlsi.Log2Ceil(n) + 1
-	if m := PSNMaxWire(n); l > m {
-		l = m
-	}
-	if l < 2 {
-		l = 2
-	}
-	return l
-}

@@ -117,59 +117,6 @@ func (c *Chip) MaxWireLen() int {
 	return m
 }
 
-// Crossings counts proper wire crossings on the chip. Wires are
-// rectilinear; a diagonal connection is decomposed into its
-// horizontal-then-vertical dogleg. The paper notes (Section II-A)
-// that Leighton's alternative OTN layout has "the same O(N² log² N)
-// area but a factor of log N fewer wire crossings" — this metric
-// makes that comparison measurable.
-func (c *Chip) Crossings() int {
-	type seg struct{ x1, y1, x2, y2 int }
-	var hs, vs []seg
-	add := func(x1, y1, x2, y2 int) {
-		if y1 == y2 && x1 != x2 {
-			if x1 > x2 {
-				x1, x2 = x2, x1
-			}
-			hs = append(hs, seg{x1, y1, x2, y2})
-		} else if x1 == x2 && y1 != y2 {
-			if y1 > y2 {
-				y1, y2 = y2, y1
-			}
-			vs = append(vs, seg{x1, y1, x2, y2})
-		}
-	}
-	for _, w := range c.Wires {
-		if w.From.X == w.To.X || w.From.Y == w.To.Y {
-			add(w.From.X, w.From.Y, w.To.X, w.To.Y)
-			continue
-		}
-		// Dogleg: horizontal leg at From.Y, then vertical at To.X.
-		add(w.From.X, w.From.Y, w.To.X, w.From.Y)
-		add(w.To.X, w.From.Y, w.To.X, w.To.Y)
-	}
-	n := 0
-	for _, h := range hs {
-		for _, v := range vs {
-			if v.x1 > h.x1 && v.x1 < h.x2 && h.y1 > v.y1 && h.y1 < v.y2 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// CountRects returns the number of components with the given kind tag.
-func (c *Chip) CountRects(kind string) int {
-	n := 0
-	for _, r := range c.Rects {
-		if r.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats summarizes a chip for reports.
 func (c *Chip) Stats() string {
 	return fmt.Sprintf("%s: %d components, %d wires, area %d, max wire %d",

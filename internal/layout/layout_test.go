@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/vlsi"
 )
@@ -29,8 +28,8 @@ func TestEmbedTreeStructure(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", g.Depth())
+	if g.K != len(leafPos) {
+		t.Errorf("K = %d, want %d leaves", g.K, len(leafPos))
 	}
 	// Root sits at the midpoint of the leaf span.
 	if pos[1] < 40 || pos[1] > 50 {
@@ -65,11 +64,11 @@ func TestBuildOTNCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Chip.CountRects("bp"); got != 16 {
+	if got := countRects(o.Chip, "bp"); got != 16 {
 		t.Errorf("BPs = %d, want 16", got)
 	}
 	// 2K trees with K−1 internal nodes each: 2·4·3 = 24 IPs.
-	if got := o.Chip.CountRects("ip"); got != 24 {
+	if got := countRects(o.Chip, "ip"); got != 24 {
 		t.Errorf("IPs = %d, want 24", got)
 	}
 	// Each tree contributes 2K−2 edges; 8 trees × 6 = 48 wires.
@@ -127,8 +126,8 @@ func TestBuildCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Chip.CountRects("bp") != 8 {
-		t.Errorf("cycle BPs = %d", c.Chip.CountRects("bp"))
+	if countRects(c.Chip, "bp") != 8 {
+		t.Errorf("cycle BPs = %d", countRects(c.Chip, "bp"))
 	}
 	if len(c.EdgeLen) != 8 {
 		t.Fatalf("edge lengths = %d", len(c.EdgeLen))
@@ -152,7 +151,7 @@ func TestBuildOTCCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Chip.CountRects("bp"); got != 64 {
+	if got := countRects(o.Chip, "bp"); got != 64 {
 		t.Errorf("BPs = %d, want 4·4·4 = 64", got)
 	}
 	if err := o.RowTree.Validate(); err != nil {
@@ -199,8 +198,8 @@ func TestBuildMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Chip.CountRects("bp") != 16 {
-		t.Errorf("PEs = %d", m.Chip.CountRects("bp"))
+	if countRects(m.Chip, "bp") != 16 {
+		t.Errorf("PEs = %d", countRects(m.Chip, "bp"))
 	}
 	// 2·K·(K−1) neighbour links.
 	if len(m.Chip.Wires) != 24 {
@@ -242,18 +241,6 @@ func TestPSNAndCCCFormulas(t *testing.T) {
 	}
 	if CCCDimWire(1024, 30) != CCCMaxWire(1024) {
 		t.Error("CCCDimWire not capped at max wire")
-	}
-}
-
-func TestPSNShuffleWireBounds(t *testing.T) {
-	f := func(pRaw uint16) bool {
-		n := 1024
-		p := int(pRaw) % n
-		l := PSNShuffleWire(n, p)
-		return l >= 2 && l <= PSNMaxWire(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -303,7 +290,7 @@ func TestCrossings(t *testing.T) {
 		{From: Point{0, 5}, To: Point{10, 5}},
 		{From: Point{5, 0}, To: Point{5, 10}},
 	}}
-	if got := c.Crossings(); got != 1 {
+	if got := crossings(c); got != 1 {
 		t.Errorf("simple cross = %d, want 1", got)
 	}
 	// Touching at an endpoint is not a proper crossing.
@@ -311,7 +298,7 @@ func TestCrossings(t *testing.T) {
 		{From: Point{0, 5}, To: Point{10, 5}},
 		{From: Point{10, 5}, To: Point{10, 10}},
 	}}
-	if got := c2.Crossings(); got != 0 {
+	if got := crossings(c2); got != 0 {
 		t.Errorf("endpoint touch = %d, want 0", got)
 	}
 	// Parallel wires never cross.
@@ -319,7 +306,7 @@ func TestCrossings(t *testing.T) {
 		{From: Point{0, 5}, To: Point{10, 5}},
 		{From: Point{0, 7}, To: Point{10, 7}},
 	}}
-	if got := c3.Crossings(); got != 0 {
+	if got := crossings(c3); got != 0 {
 		t.Errorf("parallel = %d, want 0", got)
 	}
 }
@@ -335,7 +322,7 @@ func TestOTNCrossingsGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, cb := small.Chip.Crossings(), big.Chip.Crossings()
+	cs, cb := crossings(small.Chip), crossings(big.Chip)
 	if cs <= 0 {
 		t.Errorf("4×4 OTN has %d crossings; expected some", cs)
 	}
@@ -349,7 +336,60 @@ func TestMeshHasNoCrossings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Chip.Crossings(); got != 0 {
+	if got := crossings(m.Chip); got != 0 {
 		t.Errorf("mesh crossings = %d, want 0 (planar nearest-neighbour wiring)", got)
 	}
+}
+
+// crossings counts proper wire crossings on the chip. Wires are
+// rectilinear; a diagonal connection is decomposed into its
+// horizontal-then-vertical dogleg. The paper notes (Section II-A)
+// that Leighton's alternative OTN layout has "the same O(N² log² N)
+// area but a factor of log N fewer wire crossings" — this metric
+// makes that comparison measurable.
+func crossings(c *Chip) int {
+	type seg struct{ x1, y1, x2, y2 int }
+	var hs, vs []seg
+	add := func(x1, y1, x2, y2 int) {
+		if y1 == y2 && x1 != x2 {
+			if x1 > x2 {
+				x1, x2 = x2, x1
+			}
+			hs = append(hs, seg{x1, y1, x2, y2})
+		} else if x1 == x2 && y1 != y2 {
+			if y1 > y2 {
+				y1, y2 = y2, y1
+			}
+			vs = append(vs, seg{x1, y1, x2, y2})
+		}
+	}
+	for _, w := range c.Wires {
+		if w.From.X == w.To.X || w.From.Y == w.To.Y {
+			add(w.From.X, w.From.Y, w.To.X, w.To.Y)
+			continue
+		}
+		// Dogleg: horizontal leg at From.Y, then vertical at To.X.
+		add(w.From.X, w.From.Y, w.To.X, w.From.Y)
+		add(w.To.X, w.From.Y, w.To.X, w.To.Y)
+	}
+	n := 0
+	for _, h := range hs {
+		for _, v := range vs {
+			if v.x1 > h.x1 && v.x1 < h.x2 && h.y1 > v.y1 && h.y1 < v.y2 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// countRects returns the number of components with the given kind tag.
+func countRects(c *Chip, kind string) int {
+	n := 0
+	for _, r := range c.Rects {
+		if r.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

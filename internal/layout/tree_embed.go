@@ -37,10 +37,6 @@ func (g *TreeGeom) Validate() error {
 	return nil
 }
 
-// Depth returns the number of tree levels between a leaf and the
-// root, i.e. log₂ K.
-func (g *TreeGeom) Depth() int { return vlsi.Log2Floor(g.K) }
-
 // EmbedTree computes node positions and edge lengths for a complete
 // binary tree whose leaves sit at the given 1-D coordinates, with the
 // internal nodes in a channel of the given number of wiring tracks —

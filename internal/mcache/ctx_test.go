@@ -46,7 +46,7 @@ func TestBoundedCheckoutBlocksUntilReturn(t *testing.T) {
 	if s := c.Stats(); s.Waits != 1 {
 		t.Fatalf("Waits = %d, want 1", s.Waits)
 	}
-	if out := c.Outstanding(testKey()); out != 0 {
+	if out := outCount(c, testKey()); out != 0 {
 		t.Fatalf("outstanding = %d after all returns", out)
 	}
 }
@@ -131,10 +131,10 @@ func TestBoundedCheckoutStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if out := c.Outstanding(testKey()); out != 0 {
+	if out := outCount(c, testKey()); out != 0 {
 		t.Fatalf("outstanding = %d after every goroutine returned", out)
 	}
-	if idle := c.Idle(testKey()); idle > cap {
+	if idle := idleCount(c, testKey()); idle > cap {
 		t.Fatalf("idle = %d machines parked, capacity %d — a slot leaked", idle, cap)
 	}
 	if s := c.Stats(); s.Misses > cap {

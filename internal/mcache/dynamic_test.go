@@ -42,7 +42,7 @@ func TestReturnDropsDynamicallyFaultedMachine(t *testing.T) {
 	}
 	superviseThroughRecovery(t, m)
 	c.Return(testKey(), m)
-	if got := c.Idle(testKey()); got != 0 {
+	if got := idleCount(c, testKey()); got != 0 {
 		t.Fatalf("dynamically-faulted machine parked (%d idle)", got)
 	}
 	if s := c.Stats(); s.Drops != 1 || s.Returns != 0 {

@@ -264,32 +264,9 @@ func (c *Cache) Return(key Key, m *core.Machine) {
 	c.mu.Unlock()
 }
 
-// Outstanding returns how many machines of key are checked out (test
-// and metrics introspection; meaningful on bounded caches, where
-// every checkout and return updates the count).
-func (c *Cache) Outstanding(key Key) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.out[key]
-}
-
 // Stats returns a snapshot of the traffic counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Idle returns how many machines are parked for key.
-func (c *Cache) Idle(key Key) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.free[key])
-}
-
-// Flush discards every idle machine (the stats survive).
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.free = make(map[Key][]*core.Machine)
 }

@@ -52,8 +52,8 @@ func TestCheckoutBuildsThenReuses(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 || s.Returns != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 return", s)
 	}
-	if c.Idle(testKey()) != 0 {
-		t.Fatalf("idle = %d after checkout, want 0", c.Idle(testKey()))
+	if idleCount(c, testKey()) != 0 {
+		t.Fatalf("idle = %d after checkout, want 0", idleCount(c, testKey()))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestReturnDropsErroredMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LeafToRoot(core.Row(0), core.None, core.RegA, 0) // selector error
+	m.LeafToRoot(core.Row(0), func(int) bool { return false }, core.RegA, 0) // selector error: no source
 	if m.Err() == nil {
 		t.Fatal("expected a sticky error")
 	}
@@ -121,7 +121,7 @@ func TestReturnDropsErroredMachine(t *testing.T) {
 	if s := c.Stats(); s.Drops != 1 || s.Returns != 0 {
 		t.Fatalf("stats = %+v, want 1 drop / 0 returns", s)
 	}
-	if c.Idle(testKey()) != 0 {
+	if idleCount(c, testKey()) != 0 {
 		t.Fatal("errored machine entered the free list")
 	}
 }
@@ -172,4 +172,18 @@ func TestCheckoutHitAllocationFree(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("checkout/return hit path: %.1f allocs/op, want 0", got)
 	}
+}
+
+// idleCount and outCount read how many machines of key are parked and
+// checked out, under the cache's lock.
+func idleCount(c *Cache, key Key) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.free[key])
+}
+
+func outCount(c *Cache, key Key) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out[key]
 }

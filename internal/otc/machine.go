@@ -169,12 +169,6 @@ func (m *Machine) SetRowRootQ(i int, words []int64) {
 	copy(m.rowRootQ[i], words)
 }
 
-// RowRootQ returns the stream most recently delivered at row port i.
-func (m *Machine) RowRootQ(i int) []int64 { return append([]int64(nil), m.rowRootQ[i]...) }
-
-// ColRootQ returns the stream most recently delivered at column port j.
-func (m *Machine) ColRootQ(j int) []int64 { return append([]int64(nil), m.colRootQ[j]...) }
-
 // router and rootQ dispatch on the vector kind.
 func (m *Machine) router(vec core.Vector) *tree.Tree {
 	if vec.IsRow {
@@ -299,33 +293,12 @@ func (m *Machine) selectOne(vec core.Vector, sel core.Sel) int {
 // root queue receives, for each position q, the sum of register src
 // at BP(q) over the selected cycles.
 func (m *Machine) SumCycleToRoot(vec core.Vector, sel core.Sel, src core.Reg, rel vlsi.Time) vlsi.Time {
-	return m.reduceCycleToRoot(vec, sel, src, rel, func(a, b int64) int64 { return a + b }, 0)
-}
-
-// MinCycleToRoot is the MIN form; Null entries are ignored and an
-// empty selection yields Null.
-func (m *Machine) MinCycleToRoot(vec core.Vector, sel core.Sel, src core.Reg, rel vlsi.Time) vlsi.Time {
-	return m.reduceCycleToRoot(vec, sel, src, rel, func(a, b int64) int64 {
-		if a == core.Null {
-			return b
-		}
-		if b == core.Null {
-			return a
-		}
-		if b < a {
-			return b
-		}
-		return a
-	}, core.Null)
-}
-
-func (m *Machine) reduceCycleToRoot(vec core.Vector, sel core.Sel, src core.Reg, rel vlsi.Time, op func(a, b int64) int64, id int64) vlsi.Time {
 	q := m.rootQ(vec)
 	for p := 0; p < m.L; p++ {
-		acc := id
+		var acc int64
 		for k := 0; k < m.K; k++ {
 			if sel == nil || sel(k) {
-				acc = op(acc, m.cycleAt(src, vec, k)[p])
+				acc += m.cycleAt(src, vec, k)[p]
 			}
 		}
 		q[p] = acc
@@ -352,12 +325,6 @@ func (m *Machine) CycleToCycle(vec core.Vector, srcSel core.Sel, src core.Reg, d
 // SumCycleToCycle distributes per-position sums to the destinations.
 func (m *Machine) SumCycleToCycle(vec core.Vector, src core.Reg, dstSel core.Sel, dst core.Reg, rel vlsi.Time) vlsi.Time {
 	t := m.SumCycleToRoot(vec, nil, src, rel)
-	return m.RootToCycle(vec, dstSel, dst, t)
-}
-
-// MinCycleToCycle distributes per-position minima to the destinations.
-func (m *Machine) MinCycleToCycle(vec core.Vector, src core.Reg, dstSel core.Sel, dst core.Reg, rel vlsi.Time) vlsi.Time {
-	t := m.MinCycleToRoot(vec, nil, src, rel)
 	return m.RootToCycle(vec, dstSel, dst, t)
 }
 
@@ -389,15 +356,5 @@ func (m *Machine) Reset() {
 	for i := 0; i < m.K; i++ {
 		m.rows[i].Reset()
 		m.cols[i].Reset()
-	}
-}
-
-// SetRouteCompile enables or disables compiled routing schedules on
-// every row and column tree (see core.Machine.SetRouteCompile);
-// simulated times are identical either way.
-func (m *Machine) SetRouteCompile(on bool) {
-	for i := 0; i < m.K; i++ {
-		m.rows[i].SetCompile(on)
-		m.cols[i].SetCompile(on)
 	}
 }

@@ -101,7 +101,7 @@ func TestCycleToRoot(t *testing.T) {
 		m.Set(core.RegB, 2, 3, q, int64(100+q))
 	}
 	m.CycleToRoot(core.Col(3), core.One(2), core.RegB, 0)
-	got := m.ColRootQ(3)
+	got := m.colRootQ[3]
 	for q := 0; q < 4; q++ {
 		if got[q] != int64(100+q) {
 			t.Errorf("root queue[%d] = %d, want %d", q, got[q], 100+q)
@@ -147,15 +147,9 @@ func TestSumAndMinCycleToRoot(t *testing.T) {
 		m.Set(core.RegA, 0, k, 1, int64(10*k))
 	}
 	m.SumCycleToRoot(core.Row(0), nil, core.RegA, 0)
-	q := m.RowRootQ(0)
+	q := m.rowRootQ[0]
 	if q[0] != 10 || q[1] != 60 {
 		t.Errorf("sums = %v, want [10 60]", q)
-	}
-	m.Set(core.RegA, 0, 2, 0, core.Null) // Null ignored by MIN
-	m.MinCycleToRoot(core.Row(0), nil, core.RegA, 0)
-	q = m.RowRootQ(0)
-	if q[0] != 1 || q[1] != 0 {
-		t.Errorf("minima = %v, want [1 0]", q)
 	}
 }
 
@@ -322,63 +316,21 @@ func TestEmulatedPipelining(t *testing.T) {
 	}
 }
 
-func TestVectorMatrixMultOTC(t *testing.T) {
-	for _, c := range []struct{ k, l int }{{2, 2}, {4, 4}, {4, 8}} {
-		m := testMachine(t, c.k, c.l)
-		n := c.k * c.l
-		rng := workload.NewRNG(uint64(n) + 51)
-		b := rng.IntMatrix(n, 30)
-		x := rng.Ints(n, 30)
-		LoadMatrixOTC(m, b)
-		y, done := VectorMatrixMult(m, x, 0)
-		want := make([]int64, n)
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				want[j] += x[i] * b[i][j]
-			}
-		}
-		for j := range want {
-			if y[j] != want[j] {
-				t.Fatalf("(%d,%d): y[%d] = %d, want %d", c.k, c.l, j, y[j], want[j])
-			}
-		}
-		if done <= 0 {
-			t.Error("matvec took no time")
-		}
-	}
-}
-
-func TestVectorMatrixMultOTCArity(t *testing.T) {
-	m := testMachine(t, 4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong vector length accepted")
-		}
-	}()
-	VectorMatrixMult(m, make([]int64, 3), 0)
-}
-
-func TestLoadMatrixOTCArity(t *testing.T) {
-	m := testMachine(t, 4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong matrix size accepted")
-		}
-	}()
-	LoadMatrixOTC(m, make([][]int64, 5))
-}
-
-// TestOTCMatVecMatchesOTN: the native OTC conversion computes the
-// same product as the OTN's VECTORMATRIXMULT on the same inputs.
+// TestOTCMatVecMatchesOTN: the OTC, running VECTORMATRIXMULT-OTN
+// through the Section VI block emulation, computes the same product
+// as the OTN on the same inputs.
 func TestOTCMatVecMatchesOTN(t *testing.T) {
 	n := 16
 	rng := workload.NewRNG(73)
 	b := rng.IntMatrix(n, 20)
 	x := rng.Ints(n, 20)
 
-	mOTC := testMachine(t, 4, 4)
-	LoadMatrixOTC(mOTC, b)
-	yOTC, _ := VectorMatrixMult(mOTC, x, 0)
+	emu, err := NewEmulatedOTN(n, 4, vlsi.DefaultConfig(n*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix.LoadMatrix(emu, core.RegB, b)
+	yOTC, _ := matrix.VectorMatrixMult(emu, x, core.RegB, 0)
 
 	mOTN, err := core.NewDefault(n, n*n)
 	if err != nil {

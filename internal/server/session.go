@@ -34,7 +34,7 @@ type SessionSpec struct {
 	N int `json:"n"`
 	// Seed drives the workload generator and the update stream.
 	Seed uint64 `json:"seed"`
-	// Network and Model as in jobs ("otn"/"scaled"; "log"/"constant"/
+	// Network and Model as in jobs ("otn"/"scaled"; "log"/"const"/
 	// "linear").
 	Network string `json:"network,omitempty"`
 	Model   string `json:"model,omitempty"`

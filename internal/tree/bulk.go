@@ -24,7 +24,13 @@ func NewBulk(geom *layout.TreeGeom, cfg vlsi.Config, count int) ([]*Tree, error)
 	return buildBulk(geom, cfg, false, count)
 }
 
-// NewScaledBulk is NewBulk over scaled trees (see NewScaled).
+// NewScaledBulk is NewBulk over trees built with Thompson's "scaling"
+// technique [31] (the paper's closing remark of Section II-B and the
+// footnote of Section VII): each IP is a constant factor larger than
+// its children, so the long tree edges are driven by pre-distributed
+// amplifier stages and the per-edge first-bit latency drops to Θ(1)
+// while the total area stays Θ(N² log² N). Communication primitives
+// then cost Θ(log N) instead of Θ(log² N).
 func NewScaledBulk(geom *layout.TreeGeom, cfg vlsi.Config, count int) ([]*Tree, error) {
 	return buildBulk(geom, cfg, true, count)
 }

@@ -104,14 +104,6 @@ type RoutePlan struct {
 	full bool
 }
 
-// Len returns the number of recorded steps (test/bench introspection).
-func (p *RoutePlan) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.steps)
-}
-
 // planRecorder accumulates steps between Reset and freeze.
 type planRecorder struct {
 	steps    []planStep
@@ -235,15 +227,10 @@ func timesEqual(a, b []vlsi.Time) bool {
 
 // ---------------------------------------------------------------- Tree
 
-// SetPlanCache points the tree at a plan cache (nil disables sharing;
-// the tree still compiles and retains its own plans). Tests use
-// private caches for isolation.
-func (t *Tree) SetPlanCache(c *PlanCache) { t.cache = c }
-
 // SetCompile enables or disables route compilation. Disabling
 // synchronizes any in-flight replay, drops the plan and recorder, and
 // pins the tree to pure interpretation — the reference side of the
-// compiled-vs-interpreted differential tests and of otbench -routes.
+// compiled-vs-interpreted differential tests.
 func (t *Tree) SetCompile(on bool) {
 	if on {
 		t.compileOff = false
@@ -259,9 +246,6 @@ func (t *Tree) SetCompile(on bool) {
 // HasRoutePlan reports whether the tree currently holds a compiled
 // plan (test introspection for the invalidation coverage).
 func (t *Tree) HasRoutePlan() bool { return t.plan != nil }
-
-// RoutePlanLen returns the step count of the current plan.
-func (t *Tree) RoutePlanLen() int { return t.plan.Len() }
 
 // zeroOcc clears the occupancy arrays (the interpreter's Reset).
 func (t *Tree) zeroOcc() {

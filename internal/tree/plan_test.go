@@ -24,7 +24,7 @@ func newPlanTree(tb testing.TB, k int, cache *PlanCache) *Tree {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr.SetPlanCache(cache)
+	tr.cache = cache
 	return tr
 }
 
@@ -145,7 +145,7 @@ func TestPlanDifferentialHealthy(t *testing.T) {
 			}
 		}
 		diffStates(t, "healthy", compiled, interp)
-		if got, want := compiled.RoutePlanLen(), len(ops); got != want {
+		if got, want := len(compiled.plan.steps), len(ops); got != want {
 			t.Fatalf("k=%d: plan has %d steps, want %d", k, got, want)
 		}
 	}
@@ -387,7 +387,7 @@ func TestPlanExhaustionExtends(t *testing.T) {
 		tr.Reset()
 		tr.Broadcast(0)
 	}
-	if got := tr.RoutePlanLen(); got != 1 {
+	if got := len(tr.plan.steps); got != 1 {
 		t.Fatalf("short plan has %d steps, want 1", got)
 	}
 	for i := 0; i < 2; i++ {
@@ -403,7 +403,7 @@ func TestPlanExhaustionExtends(t *testing.T) {
 		}
 	}
 	diffStates(t, "extend", tr, ref) // Snapshot also freezes the extension
-	if got := tr.RoutePlanLen(); got != 2 {
+	if got := len(tr.plan.steps); got != 2 {
 		t.Fatalf("extended plan has %d steps, want 2", got)
 	}
 }

@@ -44,7 +44,7 @@ type Tree struct {
 	// nodeLatency is the per-IP store-and-forward latency in
 	// bit-times (1: each IP re-times the bit stream).
 	nodeLatency vlsi.Time
-	// scaled records Thompson's scaling technique (NewScaled): the
+	// scaled records Thompson's scaling technique (NewScaledBulk): the
 	// flag is already folded into first[], it is kept explicitly so
 	// machines can report which fused duration table matches them.
 	scaled bool
@@ -98,17 +98,6 @@ type Tree struct {
 // New builds a router over the given measured tree geometry.
 func New(geom *layout.TreeGeom, cfg vlsi.Config) (*Tree, error) {
 	return build(geom, cfg, false)
-}
-
-// NewScaled builds a router with Thompson's "scaling" technique [31]
-// (the paper's closing remark of Section II-B and the footnote of
-// Section VII): each IP is a constant factor larger than its
-// children, so the long tree edges are driven by pre-distributed
-// amplifier stages and the per-edge first-bit latency drops to Θ(1)
-// while the total area stays Θ(N² log² N). Communication primitives
-// then cost Θ(log N) instead of Θ(log² N).
-func NewScaled(geom *layout.TreeGeom, cfg vlsi.Config) (*Tree, error) {
-	return build(geom, cfg, true)
 }
 
 func build(geom *layout.TreeGeom, cfg vlsi.Config, scaled bool) (*Tree, error) {

@@ -22,12 +22,6 @@ func (m Metric) AT2() float64 {
 	return float64(m.Area) * float64(m.Time) * float64(m.Time)
 }
 
-// AT returns area·time, a secondary figure of merit some of the cited
-// work optimizes.
-func (m Metric) AT() float64 {
-	return float64(m.Area) * float64(m.Time)
-}
-
 // String renders the metric compactly for tables and traces.
 func (m Metric) String() string {
 	return fmt.Sprintf("A=%d T=%d AT2=%.3g", m.Area, m.Time, m.AT2())

@@ -57,14 +57,6 @@ func IsPow2(x int) bool {
 	return x > 0 && x&(x-1) == 0
 }
 
-// NextPow2 returns the smallest power of two ≥ x (and 1 for x ≤ 1).
-func NextPow2(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return 1 << Log2Ceil(x)
-}
-
 // A DelayModel maps a wire length to the latency of its first bit.
 // All models pipeline subsequent bits at one bit per bit-time
 // (assumption 3 of Thompson's model).

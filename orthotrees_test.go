@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	orthotrees "repro"
+	"repro/internal/core"
 )
 
 func TestFacadeSort(t *testing.T) {
@@ -215,5 +216,83 @@ func TestFacadeMatMul3DStudy(t *testing.T) {
 	}
 	if len(e.Rows) != 2 {
 		t.Errorf("rows = %d", len(e.Rows))
+	}
+}
+
+// TestRouteCompileMatchesInterpretation: the route-bound bodies of
+// otbench's suite take the same simulated time whether the machine
+// records and replays compiled route plans (the default) or interprets
+// every route (SetRouteCompile(false)). Each body runs three times on
+// one machine, Reset between runs, so the compiled side both records a
+// plan and replays it.
+func TestRouteCompileMatchesInterpretation(t *testing.T) {
+	row := orthotrees.Vector{IsRow: true}
+	xs := orthotrees.NewRNG(11).Perm(64)
+	bodies := []struct {
+		name string
+		run  func(m *orthotrees.Machine) orthotrees.Time
+	}{
+		{"SortOTN/n=64", func(m *orthotrees.Machine) orthotrees.Time {
+			m.Reset()
+			_, done := orthotrees.Sort(m, xs)
+			return done
+		}},
+		{"TreeBroadcast/K=64", func(m *orthotrees.Machine) orthotrees.Time {
+			r := m.Router(row)
+			r.Reset()
+			_, done := r.Broadcast(0)
+			return done
+		}},
+		{"TreeReduce/K=64", func(m *orthotrees.Machine) orthotrees.Time {
+			r := m.Router(row)
+			r.Reset()
+			return r.ReduceUniform(0)
+		}},
+		{"TreeRoute/K=64", func(m *orthotrees.Machine) orthotrees.Time {
+			r := m.Router(row)
+			r.Reset()
+			return r.Route(r.Leaf(0), r.Leaf(63), 0)
+		}},
+		{"LeafToLeaf/K=64", func(m *orthotrees.Machine) orthotrees.Time {
+			m.Reset()
+			m.Set("A", 0, 5, 42)
+			return m.LeafToLeaf(row, core.One(5), "A", core.All, "B", 0)
+		}},
+		{"ParDoSweep/K=64", func(m *orthotrees.Machine) orthotrees.Time {
+			m.Reset()
+			return m.ParDo(true, 0, func(vec orthotrees.Vector, rel orthotrees.Time) orthotrees.Time {
+				return m.LeafToRoot(vec, core.One(5), "A", rel)
+			})
+		}},
+	}
+	for _, body := range bodies {
+		t.Run(body.name, func(t *testing.T) {
+			var times [2][3]orthotrees.Time
+			var areas, plans [2]int64
+			for side, compile := range []bool{false, true} {
+				m, err := orthotrees.NewOTN(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetRouteCompile(compile)
+				for i := range times[side] {
+					times[side][i] = body.run(m)
+				}
+				if err := m.Err(); err != nil {
+					t.Fatal(err)
+				}
+				areas[side] = int64(m.Area())
+				plans[side] = int64(m.RoutePlansCompiled())
+			}
+			if plans[0] != 0 || plans[1] == 0 {
+				t.Errorf("routers holding a plan: interpreted %d, compiled %d; want 0 and some", plans[0], plans[1])
+			}
+			if times[1] != times[0] || areas[1] != areas[0] {
+				t.Errorf("compiled %v (area %d), interpreted %v (area %d)", times[1], areas[1], times[0], areas[0])
+			}
+			if times[0][0] <= 0 || times[0][1] != times[0][0] || times[0][2] != times[0][0] {
+				t.Errorf("interpreted runs %v: want one positive time on every Reset run", times[0])
+			}
+		})
 	}
 }
