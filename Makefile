@@ -17,13 +17,18 @@ vet:
 # cross-validates, the analysis sweep's concurrent cells (each owns
 # its machine; their determinism test doubles as the race proof), the
 # fault/recovery layer, the server's workers and process-global
-# caches, and the job runner those workers call concurrently. core and par stay on the list so a goroutine or shared
-# state that creeps back into the machine is caught. The explicit
+# caches, and the job runner those workers call concurrently. core and
+# par stay on the list so a goroutine or shared state that creeps back
+# into the machine is caught; core also holds the process-wide
+# register-name table that concurrent jobs intern into (NewReg).
+# rescache is the result cache every handler goroutine looks up,
+# resolves and evicts through under one mutex, and its LRU links are
+# plain pointers that only that mutex orders. The explicit
 # Plan pass keeps the compiled-routing replay paths (shared plan
 # cache, differential fuzz, stale-plan recovery) under the detector by
 # name, so a test rename can't silently drop them.
 race:
-	$(GO) test -race ./internal/concurrent/... ./internal/tree/... ./internal/par/... ./internal/core/... ./internal/mcache/... ./internal/fault/... ./internal/resilience/... ./internal/server/... ./internal/run/... ./internal/bits/... ./internal/packed/... ./internal/journal/...
+	$(GO) test -race ./internal/concurrent/... ./internal/tree/... ./internal/par/... ./internal/core/... ./internal/mcache/... ./internal/fault/... ./internal/resilience/... ./internal/server/... ./internal/run/... ./internal/bits/... ./internal/packed/... ./internal/journal/... ./internal/rescache/...
 	$(GO) test -race -run 'Deterministic|Parallel|Batch|Recovery' ./internal/analysis/... ./internal/algorithms/sorting/...
 	$(GO) test -race -run 'Plan|StalePlans' ./internal/tree/... ./internal/mcache/... ./internal/resilience/...
 	$(GO) test -race -run 'Packed|Fused|Bulk' ./internal/packed/... ./internal/tree/... ./internal/analysis/... ./internal/server/...

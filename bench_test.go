@@ -170,7 +170,7 @@ func BenchmarkPrimitives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Reset()
 		m.SetRowRoot(0, 1)
-		done = m.RootToLeaf(orthotrees.Vector{IsRow: true}, nil, "A", 0)
+		done = m.RootToLeaf(orthotrees.Vector{IsRow: true}, nil, orthotrees.RegA, 0)
 	}
 	b.ReportMetric(float64(done), "bit-times")
 	b.ReportMetric(float64(vlsi.Log2Ceil(256)*vlsi.Log2Ceil(256*256)), "log²N-units")

@@ -365,11 +365,11 @@ var suite = []suiteDef{
 			b.Fatal(err)
 		}
 		vec := orthotrees.Vector{IsRow: true}
-		m.Set("A", 0, 5, 42)
+		m.Set(orthotrees.RegA, 0, 5, 42)
 		var done orthotrees.Time
 		timed(b, func() {
 			m.Reset()
-			done = m.LeafToLeaf(vec, core.One(5), "A", core.All, "B", 0)
+			done = m.LeafToLeaf(vec, core.One(5), orthotrees.RegA, core.All, orthotrees.RegB, 0)
 		})
 		sim["leaftoleaf/bit-times"] = float64(done)
 	}},
@@ -410,7 +410,7 @@ var suite = []suiteDef{
 		timed(b, func() {
 			m.Reset()
 			done = m.ParDo(true, 0, func(vec orthotrees.Vector, rel orthotrees.Time) orthotrees.Time {
-				return m.LeafToRoot(vec, sel, "A", rel)
+				return m.LeafToRoot(vec, sel, orthotrees.RegA, rel)
 			})
 		})
 		if err := m.Err(); err != nil {

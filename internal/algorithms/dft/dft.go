@@ -24,9 +24,9 @@ import (
 )
 
 // Registers holding the real and imaginary halves of each point.
-const (
-	RegRe core.Reg = "re"
-	RegIm core.Reg = "im"
+var (
+	RegRe = core.NewReg("re")
+	RegIm = core.NewReg("im")
 )
 
 // DFT computes the N = K²-point discrete Fourier transform of xs on

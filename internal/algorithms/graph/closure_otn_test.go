@@ -39,8 +39,8 @@ func TestClosureOTNMatchesReference(t *testing.T) {
 						t.Fatalf("n=%d seed=%d: closure[%d][%d] = %d, want %d", n, seed, v, u, got[v][u], want[v][u])
 					}
 					// The machine's adj register was updated in place.
-					if m.Get("adj", v, u) != want[v][u] {
-						t.Fatalf("n=%d seed=%d: adj register (%d,%d) = %d, want %d", n, seed, v, u, m.Get("adj", v, u), want[v][u])
+					if m.Get(regAdj, v, u) != want[v][u] {
+						t.Fatalf("n=%d seed=%d: adj register (%d,%d) = %d, want %d", n, seed, v, u, m.Get(regAdj, v, u), want[v][u])
 					}
 				}
 			}

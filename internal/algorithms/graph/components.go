@@ -18,13 +18,13 @@ import (
 )
 
 // Registers used by the graph programs.
-const (
-	regAdj  core.Reg = "adj"  // adjacency bit A(v,u) at BP(v,u)
-	regDcol core.Reg = "Dcol" // D(u) broadcast down column u
-	regDrow core.Reg = "Drow" // D(v) broadcast along row v
-	regCand core.Reg = "cand" // hooking candidate at BP(v,u)
-	regT    core.Reg = "T"    // per-component candidate staging
-	regW    core.Reg = "W"    // weight matrix W(v,u)
+var (
+	regAdj  = core.NewReg("adj")  // adjacency bit A(v,u) at BP(v,u)
+	regDcol = core.NewReg("Dcol") // D(u) broadcast down column u
+	regDrow = core.NewReg("Drow") // D(v) broadcast along row v
+	regCand = core.NewReg("cand") // hooking candidate at BP(v,u)
+	regT    = core.NewReg("T")    // per-component candidate staging
+	regW    = core.NewReg("W")    // weight matrix W(v,u)
 )
 
 // LoadGraph stores the adjacency matrix of g into the base of m, in

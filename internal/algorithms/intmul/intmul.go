@@ -38,12 +38,12 @@ const DigitBits = 4
 const base = 1 << DigitBits
 
 // Registers used by the multiplier.
-const (
-	regX  core.Reg = "x"   // x_j at BP(i,j)
-	regY  core.Reg = "y"   // y_i at BP(i,j)
-	regP  core.Reg = "p"   // partial product
-	regLo core.Reg = "plo" // products destined for digit c (< K)
-	regHi core.Reg = "phi" // products destined for digit c+K
+var (
+	regX  = core.NewReg("x")   // x_j at BP(i,j)
+	regY  = core.NewReg("y")   // y_i at BP(i,j)
+	regP  = core.NewReg("p")   // partial product
+	regLo = core.NewReg("plo") // products destined for digit c (< K)
+	regHi = core.NewReg("phi") // products destined for digit c+K
 )
 
 // Digits decomposes a non-negative integer into K base-2^DigitBits

@@ -90,8 +90,8 @@ func MatMulPipelined(m *core.Machine, a, b [][]int64, rel vlsi.Time) ([][]int64,
 	regA := make([]core.Reg, k)
 	regC := make([]core.Reg, k)
 	for i := 0; i < k; i++ {
-		regA[i] = core.Reg(fmt.Sprintf("A.%d", i))
-		regC[i] = core.Reg(fmt.Sprintf("C.%d", i))
+		regA[i] = core.NewReg(fmt.Sprintf("A.%d", i))
+		regC[i] = core.NewReg(fmt.Sprintf("C.%d", i))
 		times[i] = rel + vlsi.Time(i)*w // Θ(log N) injection interval
 	}
 	// Phase-major issue matches the time order of the pipeline.

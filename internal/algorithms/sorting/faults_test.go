@@ -1,8 +1,10 @@
 package sorting
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/workload"
 )
@@ -120,5 +122,67 @@ func TestSortOTNEmptyPlanIdentical(t *testing.T) {
 	}
 	if !equal(ga, gb) {
 		t.Error("empty plan changed sort output")
+	}
+}
+
+// TestSortOTNStuckBPGolden pins SORT-OTN on a K=8 machine with one
+// stuck BP, off the diagonal (both orientations) and on it: the
+// output ports, the completion time, the flag bank, the sticky error
+// and the health ledger. A stuck BP's register file is frozen at
+// zero, so step 3 must not write its flag even though every other BP
+// of its row does. Below the diagonal its frozen A = B = 0 tie-breaks
+// to flag 1, so the (5,2) case fails if step 3 writes past the freeze.
+func TestSortOTNStuckBPGolden(t *testing.T) {
+	xs := []int64{5, 3, 7, 3, 6, 0, 4, 2}
+	const ledger = "health: 0 dead edge(s), 0 dead IP(s), 1 stuck BP(s)\n" +
+		"  transients caught: 0 (retries: 0, +0 bit-times)\n" +
+		"  rerouted words:    0 (+0 bit-times)\n"
+	for _, c := range []struct {
+		i, j   int
+		out    []int64
+		flags  [8]string
+		err    string // the sticky error, "" for none
+		health string // the ledger's last line
+	}{
+		{2, 5, []int64{0, 2, 3, 3, 4, 5, 4, 2},
+			[8]string{"01010111", "00000101", "11011011", "01000101", "11010111", "00000000", "01010101", "00000100"},
+			"core: LEAFTOROOT on column(6) selected 2 BPs, want exactly one",
+			"  UNRECOVERED: 2 failure(s); first: core: LEAFTOROOT on column(6) selected 2 BPs, want exactly one\n"},
+		{5, 2, []int64{0, 2, 3, 3, 4, 5, 6, 7},
+			[8]string{"01010111", "00000101", "11011111", "01000101", "11010111", "00000000", "01010101", "00000100"},
+			"", "  all operations completed or recovered\n"},
+		{3, 3, []int64{5, 0, 2, 3, 4, 5, 6, 7},
+			[8]string{"01010111", "00010101", "11011111", "01000101", "11010111", "00010000", "01010101", "00010100"},
+			"core: LEAFTOROOT on column(0) selected no BP",
+			"  UNRECOVERED: 1 failure(s); first: core: LEAFTOROOT on column(0) selected no BP\n"},
+	} {
+		m := machine(t, 8)
+		if err := m.InjectFaults(fault.New(1).StickBP(c.i, c.j)); err != nil {
+			t.Fatal(err)
+		}
+		got, done := SortOTN(m, xs, 0)
+		if !equal(got, c.out) || done != 153 {
+			t.Errorf("stuck (%d,%d): out %v at %d, want %v at 153", c.i, c.j, got, done, c.out)
+		}
+		flag := m.Bank(core.RegFlag)
+		for i, want := range c.flags {
+			row := ""
+			for _, f := range flag[i*8 : i*8+8] {
+				row += fmt.Sprint(f)
+			}
+			if row != want {
+				t.Errorf("stuck (%d,%d): flag row %d = %s, want %s", c.i, c.j, i, row, want)
+			}
+		}
+		gotErr := ""
+		if err := m.Err(); err != nil {
+			gotErr = err.Error()
+		}
+		if gotErr != c.err {
+			t.Errorf("stuck (%d,%d): error %q, want %q", c.i, c.j, gotErr, c.err)
+		}
+		if h := m.HealthReport(); h != ledger+c.health {
+			t.Errorf("stuck (%d,%d): health\n%s\nwant\n%s", c.i, c.j, h, ledger+c.health)
+		}
 	}
 }

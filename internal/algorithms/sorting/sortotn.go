@@ -50,17 +50,7 @@ func SortOTN(m *core.Machine, xs []int64, rel vlsi.Time) ([]int64, vlsi.Time) {
 
 	// Step 3 (modified for duplicates): flag(i,j) = 1 iff
 	// A(i,j) > B(i,j) or (A = B and i > j).
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			a, b := m.Get(core.RegA, i, j), m.Get(core.RegB, i, j)
-			var f int64
-			if a > b || (a == b && i > j) {
-				f = 1
-			}
-			m.Set(core.RegFlag, i, j, f)
-		}
-	}
-	t = m.Local(t, m.CostCompare())
+	t = CompareStep(m, core.RegA, core.RegB, core.RegFlag, t)
 
 	// Step 4: COUNT-LEAFTOLEAF(row(i), dest=(all, R)) — the rank of
 	// x(i) lands in R of every BP of row i.
@@ -70,17 +60,58 @@ func SortOTN(m *core.Machine, xs []int64, rel vlsi.Time) ([]int64, vlsi.Time) {
 
 	// Step 5: LEAFTOROOT(column(i), source=(j : R(j,i) = i, A)) —
 	// column i extracts the element of rank i.
-	t = m.ParDo(false, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		i := vec.Index
-		sel := func(j int) bool { return m.Get(core.RegR, j, i) == int64(i) }
-		return m.LeafToRoot(vec, sel, core.RegA, r)
-	})
+	t = RankStep(m, core.RegR, core.RegA, t)
 
 	out := make([]int64, k)
 	for i := 0; i < k; i++ {
 		out[i] = m.ColRoot(i)
 	}
 	return out, t
+}
+
+// CompareStep is step 3 of SORT-OTN, modified for duplicate keys:
+// every BP(i,j) sets flag(i,j) = 1 iff a(i,j) > b(i,j), or a = b and
+// i > j, else 0, in one local word comparison after rel. The host
+// sweeps the a and b banks row by row, splitting each row at the
+// diagonal so the tie-break becomes >= left of it and > from it on;
+// the flag writes go through Set, so stuck BPs stay frozen.
+func CompareStep(m *core.Machine, a, b, flag core.Reg, rel vlsi.Time) vlsi.Time {
+	k := m.K
+	av, bv := m.Bank(a), m.Bank(b)
+	for i := 0; i < k; i++ {
+		ra := av[i*k : (i+1)*k]
+		rb := bv[i*k : (i+1)*k]
+		rb = rb[:len(ra)]
+		for j := 0; j < i; j++ {
+			var f int64
+			if ra[j] >= rb[j] {
+				f = 1
+			}
+			m.Set(flag, i, j, f)
+		}
+		for j := i; j < len(ra); j++ {
+			var f int64
+			if ra[j] > rb[j] {
+				f = 1
+			}
+			m.Set(flag, i, j, f)
+		}
+	}
+	return m.Local(rel, m.CostCompare())
+}
+
+// RankStep is step 5 of SORT-OTN: column tree i extracts register src
+// of the one BP(j,i) whose rank register holds i, leaving the element
+// of rank i at output port i. The selectors read the rank bank
+// through one view hoisted out of the K column sweeps.
+func RankStep(m *core.Machine, rank, src core.Reg, rel vlsi.Time) vlsi.Time {
+	k := m.K
+	rv := m.Bank(rank)
+	return m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
+		i := vec.Index
+		sel := func(j int) bool { return rv[j*k+i] == int64(i) }
+		return m.LeafToRoot(vec, sel, src, r)
+	})
 }
 
 // PipelineResult describes one batch of a pipelined sort stream.
@@ -114,10 +145,10 @@ func SortOTNPipelined(m *core.Machine, batches [][]int64, interval vlsi.Time) []
 		if len(xs) != k {
 			panic(fmt.Sprintf("sorting: batch %d has %d inputs on a (%d×%d)-OTN", b, len(xs), k, k))
 		}
-		regA[b] = core.Reg(fmt.Sprintf("A.%d", b))
-		regB[b] = core.Reg(fmt.Sprintf("B.%d", b))
-		regF[b] = core.Reg(fmt.Sprintf("flag.%d", b))
-		regR[b] = core.Reg(fmt.Sprintf("R.%d", b))
+		regA[b] = core.NewReg(fmt.Sprintf("A.%d", b))
+		regB[b] = core.NewReg(fmt.Sprintf("B.%d", b))
+		regF[b] = core.NewReg(fmt.Sprintf("flag.%d", b))
+		regR[b] = core.NewReg(fmt.Sprintf("R.%d", b))
 		times[b] = vlsi.Time(b) * interval
 	}
 
@@ -139,17 +170,7 @@ func SortOTNPipelined(m *core.Machine, batches [][]int64, interval vlsi.Time) []
 	// Phase 3: step 3, the local comparison (modified for duplicate
 	// keys).
 	for b := range batches {
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				a, bb := m.Get(regA[b], i, j), m.Get(regB[b], i, j)
-				var f int64
-				if a > bb || (a == bb && i > j) {
-					f = 1
-				}
-				m.Set(regF[b], i, j, f)
-			}
-		}
-		times[b] = m.Local(times[b], m.CostCompare())
+		times[b] = CompareStep(m, regA[b], regB[b], regF[b], times[b])
 	}
 	// Phase 4: step 4 — ranks along the row trees.
 	for b := range batches {
@@ -159,11 +180,7 @@ func SortOTNPipelined(m *core.Machine, batches [][]int64, interval vlsi.Time) []
 	}
 	// Phase 5: step 5 — rank-i element up column tree i.
 	for b := range batches {
-		times[b] = m.ParDo(false, times[b], func(vec core.Vector, r vlsi.Time) vlsi.Time {
-			i := vec.Index
-			sel := func(j int) bool { return m.Get(regR[b], j, i) == int64(i) }
-			return m.LeafToRoot(vec, sel, regA[b], r)
-		})
+		times[b] = RankStep(m, regR[b], regA[b], times[b])
 		sorted := make([]int64, k)
 		for i := 0; i < k; i++ {
 			sorted[i] = m.ColRoot(i)

@@ -27,28 +27,29 @@ func TestPrimitivesAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec := Vector{IsRow: true}
-	m.Set("A", 0, 5, 42)
+	m.Set(RegA, 0, 5, 42)
 	sel := One(5)
 	perm := make([]int, m.K)
 	for i := range perm {
 		perm[i] = (i + 7) % m.K
 	}
 	asc := func(int) bool { return true }
+	regF := NewReg("F")
 	// Touch both registers once so the banks exist before measuring.
-	m.LeafToLeaf(vec, sel, "A", All, "B", 0)
+	m.LeafToLeaf(vec, sel, RegA, All, RegB, 0)
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	requireAllocs(t, "RootToLeaf", 0, func() { m.Reset(); m.RootToLeaf(vec, nil, "A", 0) })
-	requireAllocs(t, "LeafToRoot", 0, func() { m.Reset(); m.LeafToRoot(vec, sel, "A", 0) })
-	requireAllocs(t, "LeafToLeaf", 0, func() { m.Reset(); m.LeafToLeaf(vec, sel, "A", All, "B", 0) })
-	requireAllocs(t, "CountLeafToRoot", 0, func() { m.Reset(); m.CountLeafToRoot(vec, "F", 0) })
-	requireAllocs(t, "SumLeafToRoot", 0, func() { m.Reset(); m.SumLeafToRoot(vec, All, "A", 0) })
-	requireAllocs(t, "MinLeafToRoot", 0, func() { m.Reset(); m.MinLeafToRoot(vec, All, "A", 0) })
-	requireAllocs(t, "CompareExchange", 0, func() { m.Reset(); m.CompareExchange(vec, 8, "A", asc, 0) })
+	requireAllocs(t, "RootToLeaf", 0, func() { m.Reset(); m.RootToLeaf(vec, nil, RegA, 0) })
+	requireAllocs(t, "LeafToRoot", 0, func() { m.Reset(); m.LeafToRoot(vec, sel, RegA, 0) })
+	requireAllocs(t, "LeafToLeaf", 0, func() { m.Reset(); m.LeafToLeaf(vec, sel, RegA, All, RegB, 0) })
+	requireAllocs(t, "CountLeafToRoot", 0, func() { m.Reset(); m.CountLeafToRoot(vec, regF, 0) })
+	requireAllocs(t, "SumLeafToRoot", 0, func() { m.Reset(); m.SumLeafToRoot(vec, All, RegA, 0) })
+	requireAllocs(t, "MinLeafToRoot", 0, func() { m.Reset(); m.MinLeafToRoot(vec, All, RegA, 0) })
+	requireAllocs(t, "CompareExchange", 0, func() { m.Reset(); m.CompareExchange(vec, 8, RegA, asc, 0) })
 	// PermuteVector stages through the machine's own scratch.
-	requireAllocs(t, "PermuteVector", 0, func() { m.Reset(); m.PermuteVector(vec, perm, "A", "B", 0) })
+	requireAllocs(t, "PermuteVector", 0, func() { m.Reset(); m.PermuteVector(vec, perm, RegA, RegB, 0) })
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestParDoSweepAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := One(5)
-	m.Set("A", 0, 5, 1)
+	m.Set(RegA, 0, 5, 1)
 	warmSweep(m, sel)
 	requireAllocs(t, "ParDo(LeafToRoot)", 0, func() { leafToRootSweep(m, sel) })
 	if err := m.Err(); err != nil {
@@ -82,7 +83,7 @@ func warmSweep(m *Machine, sel Sel) {
 func leafToRootSweep(m *Machine, sel Sel) {
 	m.Reset()
 	m.ParDo(true, 0, func(v Vector, rel vlsi.Time) vlsi.Time {
-		return m.LeafToRoot(v, sel, "A", rel)
+		return m.LeafToRoot(v, sel, RegA, rel)
 	})
 }
 
@@ -110,7 +111,7 @@ func TestAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := One(5)
-	m.Set("A", 0, 5, 1)
+	m.Set(RegA, 0, 5, 1)
 	warmSweep(m, sel)
 	cases := []struct {
 		name string

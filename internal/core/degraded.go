@@ -48,9 +48,9 @@ func (m *Machine) InjectFaults(p *fault.Plan) error {
 		m.cols[i].ApplyFaults(p, false, i, h)
 	}
 	if len(p.StuckBPs) > 0 {
-		m.stuck = make(map[[2]int]bool, len(p.StuckBPs))
+		m.stuck = make([]bool, m.K*m.K)
 		for _, b := range p.StuckBPs {
-			m.stuck[[2]int{b.I, b.J}] = true
+			m.stuck[b.I*m.K+b.J] = true
 		}
 	}
 	return nil

@@ -28,21 +28,6 @@ import (
 	"repro/internal/vlsi"
 )
 
-// Reg names a register present in every base processor. The paper's
-// programs use a handful of registers per BP (Section II-B sizes BPs
-// at "three or four" O(log N)-bit registers).
-type Reg string
-
-// The register names used by the paper's programs.
-const (
-	RegA    Reg = "A"
-	RegB    Reg = "B"
-	RegC    Reg = "C"
-	RegD    Reg = "D"
-	RegR    Reg = "R"
-	RegFlag Reg = "flag"
-)
-
 // Null is the distinguished "no value" word the paper's programs load
 // into registers to deselect a BP (e.g. step 5 of SORT-OTC loads NULL
 // into D). It is the identity of MIN ascents' complement: selected
@@ -119,10 +104,6 @@ type Router interface {
 	// Route moves one word between two nodes (heap indices; use
 	// Leaf to name leaves).
 	Route(src, dst int, rel vlsi.Time) vlsi.Time
-	// RouteChecked is Route with validated arguments and fault
-	// awareness: misuse and paths across dead hardware return typed
-	// errors without claiming any edge.
-	RouteChecked(src, dst int, rel vlsi.Time) (vlsi.Time, error)
 	// Leaf translates a leaf position to a node index.
 	Leaf(j int) int
 	// ApplyFaults projects a fault plan onto the router's tree,
@@ -150,17 +131,14 @@ type Machine struct {
 	rows, cols []Router
 	area       vlsi.Area
 
-	// named holds the banks of the six paper registers (A, B, C, D,
-	// R, flag), pre-allocated at construction and indexed by
-	// regIndex: the hot read path is one switch on a one-byte string
-	// plus an array load — no map hash. Each bank is one contiguous
-	// row-major K×K slice (BP(i,j) at index i*K+j), so a row sweep is
-	// unit-stride and a column sweep a single constant stride.
-	named [len(namedRegs)][]int64
-
-	// regs holds banks of any *other* register names — the slow path
-	// for exotic callers, grown on first use by bank.
-	regs map[Reg][]int64
+	// banks is the register file, indexed by Reg. Each bank is one
+	// contiguous row-major K×K slice (BP(i,j) at index i*K+j), so a
+	// row sweep is unit-stride and a column sweep a single constant
+	// stride. The six paper registers share one arena allocated at
+	// construction; any other register's bank is allocated the first
+	// time a write, view or primitive touches it, and is nil until
+	// then (Get reads such a register as zero).
+	banks [][]int64
 
 	rowRoot []int64
 	colRoot []int64
@@ -170,7 +148,9 @@ type Machine struct {
 	faulty bool
 	plan   *fault.Plan
 	health *fault.Health
-	stuck  map[[2]int]bool
+	// stuck marks the frozen BPs, indexed like a bank; nil when the
+	// plan sticks none.
+	stuck []bool
 	// dynamic records that the plan mutated mid-run (MergeFaults):
 	// the recovery supervisor merged arrivals into the live plan, so
 	// the machine's fault history is no longer "as injected" — the
@@ -213,36 +193,16 @@ func NewWithRouters(k int, cfg vlsi.Config, area vlsi.Area, rows, cols []Router)
 	return m, nil
 }
 
-// namedRegs lists the six paper registers in regIndex order.
-var namedRegs = [...]Reg{RegA, RegB, RegC, RegD, RegR, RegFlag}
-
-// regIndex maps a paper register to its named-bank slot, -1 for any
-// other name.
-func regIndex(r Reg) int {
-	switch r {
-	case RegA:
-		return 0
-	case RegB:
-		return 1
-	case RegC:
-		return 2
-	case RegD:
-		return 3
-	case RegR:
-		return 4
-	case RegFlag:
-		return 5
-	}
-	return -1
-}
-
-// init finishes construction: the six named banks as one contiguous
-// arena (a single allocation, and neighbouring banks stay cache-warm
-// across a program's register mix) and the PermuteVector scratch.
+// init finishes construction: the six paper registers' banks as one
+// contiguous arena (a single allocation, and neighbouring banks stay
+// cache-warm across a program's register mix) and the PermuteVector
+// scratch.
 func (m *Machine) init() {
-	arena := make([]int64, len(namedRegs)*m.K*m.K)
-	for i := range m.named {
-		m.named[i], arena = arena[:m.K*m.K:m.K*m.K], arena[m.K*m.K:]
+	n := m.K * m.K
+	arena := make([]int64, paperRegs*n)
+	m.banks = make([][]int64, paperRegs)
+	for r := range m.banks {
+		m.banks[r], arena = arena[:n:n], arena[n:]
 	}
 	m.perm = permScratch{seen: make([]bool, m.K), vals: make([]int64, m.K)}
 }
@@ -345,48 +305,59 @@ func (m *Machine) WordBits() int { return m.Cfg.WordBits }
 // word occupies a bit-serial resource.
 func (m *Machine) WordTime() vlsi.Time { return vlsi.Time(m.Cfg.WordBits) }
 
-// bank returns (allocating if needed) the storage for a register: one
-// contiguous row-major K×K slice, BP(i,j) at index i*K+j. The six
-// paper registers resolve through the pre-allocated named slots; any
-// other name falls back to the regs map, grown here on first use.
+// bank returns the storage of register r, allocating it on first use.
 func (m *Machine) bank(r Reg) []int64 {
-	if idx := regIndex(r); idx >= 0 {
-		return m.named[idx]
+	if int(r) < len(m.banks) && m.banks[r] != nil {
+		return m.banks[r]
 	}
-	if b, ok := m.regs[r]; ok {
-		return b
-	}
-	if m.regs == nil {
-		m.regs = make(map[Reg][]int64)
-	}
-	b := make([]int64, m.K*m.K)
-	m.regs[r] = b
-	return b
+	return m.newBank(r)
 }
 
-// eachBank visits every live register bank — the six pre-allocated
-// named slots plus any exotic banks in the regs map. Snapshot, Restore
-// and Recycle go through this so the named arena is never skipped.
+// newBank allocates register r's bank, growing the file to reach it.
+func (m *Machine) newBank(r Reg) []int64 {
+	if int(r) >= len(m.banks) {
+		m.banks = append(m.banks, make([][]int64, int(r)+1-len(m.banks))...)
+	}
+	m.banks[r] = make([]int64, m.K*m.K)
+	return m.banks[r]
+}
+
+// eachBank visits every allocated register bank. Snapshot, Restore
+// and Recycle go through this.
 func (m *Machine) eachBank(f func(r Reg, bank []int64)) {
-	for i, r := range namedRegs {
-		f(r, m.named[i])
-	}
-	for r, bank := range m.regs {
-		f(r, bank)
+	for r, b := range m.banks {
+		if b != nil {
+			f(Reg(r), b)
+		}
 	}
 }
 
-// Get reads register r of BP(i, j).
-func (m *Machine) Get(r Reg, i, j int) int64 { return m.bank(r)[i*m.K+j] }
+// Get reads register r of BP(i, j). A register the machine has never
+// written reads zero, as a fresh bank would.
+func (m *Machine) Get(r Reg, i, j int) int64 {
+	if int(r) < len(m.banks) && m.banks[r] != nil {
+		return m.banks[r][i*m.K+j]
+	}
+	return 0
+}
 
 // Set writes register r of BP(i, j). A stuck BP's register file is
 // frozen: writes to it are dropped.
 func (m *Machine) Set(r Reg, i, j int, v int64) {
-	if m.stuck != nil && m.stuck[[2]int{i, j}] {
+	k := i*m.K + j
+	if m.stuck != nil && m.stuck[k] {
 		return
 	}
-	m.bank(r)[i*m.K+j] = v
+	m.bank(r)[k] = v
 }
+
+// Bank returns register r over all BPs as a read-only view: one
+// row-major K×K slice, BP(i,j) at index i*K+j, so row i is
+// Bank(r)[i*K : (i+1)*K]. The view aliases the register file and
+// sees later writes; programs hoist it out of per-BP loops instead of
+// calling Get per element. Writes go through Set (or a primitive),
+// which keeps stuck BPs frozen.
+func (m *Machine) Bank(r Reg) []int64 { return m.bank(r) }
 
 // at reads register r at position k of a vector. A row sweep walks
 // the flat bank at unit stride; a column sweep at stride K.
@@ -415,7 +386,7 @@ func (m *Machine) setAt(r Reg, vec Vector, k int, v int64) {
 	if !vec.IsRow {
 		i, j = k, vec.Index
 	}
-	if m.stuck != nil && m.stuck[[2]int{i, j}] {
+	if m.stuck != nil && m.stuck[i*m.K+j] {
 		return
 	}
 	m.bank(r)[i*m.K+j] = v

@@ -38,9 +38,10 @@ func (m *Machine) ClearFaults() {
 // Recycle restores the machine to its as-constructed state: fault
 // plan detached, routing occupancy reset, every existing register
 // bank zeroed in place, tree roots zeroed, sticky error and tracer
-// cleared. The bank maps — and their memory — are kept: fresh banks are all-zero, so zeroing in place is
-// observationally identical to reallocation and a recycled machine
-// re-runs a workload without register allocations.
+// cleared. The register file — and its memory — is kept: fresh banks
+// are all-zero, so zeroing in place is observationally identical to
+// reallocation and a recycled machine re-runs a workload without
+// register allocations.
 func (m *Machine) Recycle() {
 	m.ClearFaults()
 	m.Reset()

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/tree"
+import (
+	"repro/internal/tree"
+	"repro/internal/vlsi"
+)
 
 // This file implements the machine half of checkpointed recovery
 // (internal/resilience): Snapshot captures everything a rollback must
@@ -13,18 +16,25 @@ import "repro/internal/tree"
 
 // Snapshot is a point-in-time copy of a machine's computational
 // state, produced by Machine.Snapshot and consumed by
-// Machine.Restore.
+// Machine.Restore. Its register copies share one arena and its router
+// states another, so a checkpoint costs a fixed handful of allocations
+// whatever the machine's size.
 type Snapshot struct {
-	banks            map[Reg][]int64
-	rowRoot, colRoot []int64
-	rows, cols       []*tree.State
+	// regs lists the registers the machine had banks for, ascending;
+	// words holds their banks in that order. roots holds the row
+	// roots, then the column roots.
+	regs  []Reg
+	words []int64
+	roots []int64
+	// trees holds the K row routers' states, then the K columns'.
+	trees []tree.State
 }
 
 // CheckpointBanks is the register-file size the checkpoint cost
 // model charges per snapshot: the simulated machine writes a fixed
 // architectural register file, so the cost is a constant of the
-// machine. The host-side bank map must NOT be the charge basis — it
-// grows lazily as programs name registers, so its size depends on
+// machine. The host-side register file must NOT be the charge basis —
+// it grows lazily as programs name registers, so its size depends on
 // what previously ran on the machine (a recycled cache machine
 // carries the banks of earlier workloads), which would leak host
 // object lifetime into simulated time.
@@ -34,7 +44,8 @@ const CheckpointBanks = 16
 // native tree routers implement it; emulated (OTC) routers do not,
 // and Snapshot returns SnapshotError for machines built over them.
 type routerState interface {
-	Snapshot() *tree.State
+	StateWords() int
+	SnapshotInto(s *tree.State, buf []vlsi.Time) []vlsi.Time
 	Restore(*tree.State)
 }
 
@@ -43,16 +54,8 @@ type routerState interface {
 // with a SnapshotError on machines whose routers do not expose their
 // state (the OTC emulation shares physical trees across groups).
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	s := &Snapshot{
-		banks:   make(map[Reg][]int64),
-		rowRoot: append([]int64(nil), m.rowRoot...),
-		colRoot: append([]int64(nil), m.colRoot...),
-		rows:    make([]*tree.State, m.K),
-		cols:    make([]*tree.State, m.K),
-	}
-	m.eachBank(func(r Reg, bank []int64) {
-		s.banks[r] = append([]int64(nil), bank...)
-	})
+	nregs, occWords := 0, 0
+	m.eachBank(func(Reg, []int64) { nregs++ })
 	for i := 0; i < m.K; i++ {
 		rr, ok := m.rows[i].(routerState)
 		if !ok {
@@ -62,8 +65,22 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		if !ok {
 			return nil, &SnapshotError{Reason: "column router does not expose its state (emulated machine?)"}
 		}
-		s.rows[i] = rr.Snapshot()
-		s.cols[i] = cc.Snapshot()
+		occWords += rr.StateWords() + cc.StateWords()
+	}
+	s := &Snapshot{
+		regs:  make([]Reg, 0, nregs),
+		words: make([]int64, 0, nregs*m.K*m.K),
+		roots: append(append(make([]int64, 0, 2*m.K), m.rowRoot...), m.colRoot...),
+		trees: make([]tree.State, 2*m.K),
+	}
+	m.eachBank(func(r Reg, bank []int64) {
+		s.regs = append(s.regs, r)
+		s.words = append(s.words, bank...)
+	})
+	occ := make([]vlsi.Time, occWords)
+	for i := 0; i < m.K; i++ {
+		occ = m.rows[i].(routerState).SnapshotInto(&s.trees[i], occ)
+		occ = m.cols[i].(routerState).SnapshotInto(&s.trees[m.K+i], occ)
 	}
 	return s, nil
 }
@@ -78,17 +95,16 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // MergeFaults first and Restore second, so the restored ascent
 // counters take effect after SetFaults zeroed them.
 func (m *Machine) Restore(s *Snapshot) error {
+	regs, saved := s.regs, s.words
 	m.eachBank(func(r Reg, bank []int64) {
-		if saved, ok := s.banks[r]; ok {
-			copy(bank, saved)
+		if len(regs) > 0 && regs[0] == r {
+			saved = saved[copy(bank, saved):]
+			regs = regs[1:]
 		} else {
-			for i := range bank {
-				bank[i] = 0
-			}
+			clear(bank)
 		}
 	})
-	copy(m.rowRoot, s.rowRoot)
-	copy(m.colRoot, s.colRoot)
+	copy(m.colRoot, s.roots[copy(m.rowRoot, s.roots):])
 	for i := 0; i < m.K; i++ {
 		rr, ok := m.rows[i].(routerState)
 		if !ok {
@@ -98,8 +114,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 		if !ok {
 			return &SnapshotError{Reason: "column router does not expose its state (emulated machine?)"}
 		}
-		rr.Restore(s.rows[i])
-		cc.Restore(s.cols[i])
+		rr.Restore(&s.trees[i])
+		cc.Restore(&s.trees[m.K+i])
 	}
 	m.ClearErr()
 	return nil

@@ -146,27 +146,6 @@ func (c *cycleRouter) Route(src, dst int, rel vlsi.Time) vlsi.Time {
 	return t + vlsi.Time(dst%c.l)*c.hop
 }
 
-// RouteChecked is Route with validated logical positions and fault
-// awareness on the shared physical tree; within-cycle moves never
-// touch the tree and cannot be cut.
-func (c *cycleRouter) RouteChecked(src, dst int, rel vlsi.Time) (vlsi.Time, error) {
-	if src < 0 || src >= c.logicalK() {
-		return 0, fmt.Errorf("otc: RouteChecked: logical leaf %d out of range [0,%d)", src, c.logicalK())
-	}
-	if dst < 0 || dst >= c.logicalK() {
-		return 0, fmt.Errorf("otc: RouteChecked: logical leaf %d out of range [0,%d)", dst, c.logicalK())
-	}
-	if src/c.l == dst/c.l {
-		return c.Route(src, dst, rel), nil
-	}
-	drag := rel + vlsi.Time(src%c.l)*c.hop
-	tt, err := c.t.RouteChecked(c.t.Leaf(src/c.l), c.t.Leaf(dst/c.l), drag)
-	if err != nil {
-		return 0, err
-	}
-	return tt + vlsi.Time(dst%c.l)*c.hop, nil
-}
-
 // ApplyFaults projects a fault plan onto the shared physical tree.
 // Sites name the physical group trees: logical rows g·L..g·L+L−1 all
 // map to group tree g = index/L, so the projection is idempotent

@@ -42,36 +42,14 @@ type Machine struct {
 	// longest cycle wire.
 	shift vlsi.Time
 
-	// named caches the banks of the six paper registers in array
-	// slots, filled lazily (the Machine is single-threaded, so the
-	// fill needs no synchronization): the hot Get/Set path is one
-	// switch on a one-byte string plus an array load instead of a map
-	// hash. Exotic register names fall back to the regs map.
-	named [6][][][]int64
-	regs  map[core.Reg][][][]int64 // [i][j][q]
+	// banks is the register file, indexed by core.Reg: register r of
+	// BP(i, j, q) is banks[r][i][j][q]. It starts with nil slots for
+	// the six paper registers; a bank is allocated the first time the
+	// machine touches its register.
+	banks [][][][]int64
 	// rootQ holds the word stream at each tree root: the OTC's ports
 	// carry log N words per operation, Θ(log N) apart (Section V-B).
 	rowRootQ, colRootQ [][]int64
-}
-
-// regIndex maps a paper register to its named-bank slot, -1 for any
-// other name (mirrors core's named-bank scheme).
-func regIndex(r core.Reg) int {
-	switch r {
-	case core.RegA:
-		return 0
-	case core.RegB:
-		return 1
-	case core.RegC:
-		return 2
-	case core.RegD:
-		return 3
-	case core.RegR:
-		return 4
-	case core.RegFlag:
-		return 5
-	}
-	return -1
 }
 
 // New builds a (K×K)-OTC with cycles of length l. K must be a power
@@ -91,7 +69,7 @@ func New(k, l int, cfg vlsi.Config) (*Machine, error) {
 		K: k, L: l, Cfg: cfg, Geom: geom,
 		rows:     make([]*tree.Tree, k),
 		cols:     make([]*tree.Tree, k),
-		regs:     make(map[core.Reg][][][]int64),
+		banks:    make([][][][]int64, core.RegFlag+1),
 		rowRootQ: make([][]int64, k),
 		colRootQ: make([][]int64, k),
 	}
@@ -122,22 +100,16 @@ func (m *Machine) Area() vlsi.Area { return m.Geom.Area() }
 // WordTime is the word width as a duration.
 func (m *Machine) WordTime() vlsi.Time { return vlsi.Time(m.Cfg.WordBits) }
 
-// bank returns (allocating if needed) a register over all BPs.
+// bank returns register r over all BPs, allocating it on first use.
 func (m *Machine) bank(r core.Reg) [][][]int64 {
-	if idx := regIndex(r); idx >= 0 {
-		if b := m.named[idx]; b != nil {
-			return b
-		}
-		b := m.makeBank()
-		m.named[idx] = b
-		return b
+	if int(r) < len(m.banks) && m.banks[r] != nil {
+		return m.banks[r]
 	}
-	b, ok := m.regs[r]
-	if !ok {
-		b = m.makeBank()
-		m.regs[r] = b
+	if int(r) >= len(m.banks) {
+		m.banks = append(m.banks, make([][][][]int64, int(r)+1-len(m.banks))...)
 	}
-	return b
+	m.banks[r] = m.makeBank()
+	return m.banks[r]
 }
 
 // makeBank allocates one register over all BPs: the K×K×L words as a

@@ -25,9 +25,7 @@
 package rescache
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -42,6 +40,8 @@ const DefaultBudget = 64 << 20
 // the same key iff their canonical JSON is byte-identical, so any
 // field that changes the result must be present in v — and any field
 // that does not (client identity, deadlines, transport ids) must not.
+// The key is the raw 32-byte digest, so it is not printable; a stored
+// entry keeps one copy of it, shared by the entry and its map slot.
 func Key(v any) string {
 	blob, err := json.Marshal(v)
 	if err != nil {
@@ -50,7 +50,7 @@ func Key(v any) string {
 		return fmt.Sprintf("unkeyed:%p", &blob)
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return string(sum[:])
 }
 
 // Flight is one in-flight computation of a key. The leader resolves
@@ -82,19 +82,25 @@ type Stats struct {
 	Budget    int64 `json:"budget"`    // configured byte budget
 }
 
+// entry is one stored body and its place in the LRU list. The list
+// runs through the entries themselves, so a stored body costs the
+// body, its 32-byte key, this entry and a map slot.
 type entry struct {
-	key  string
-	body []byte
+	key        string
+	body       []byte
+	prev, next *entry
 }
 
 // Cache is the byte-budgeted LRU plus the flight table. All methods
 // are safe for concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	lru     *list.List // front = most recently used
-	byKey   map[string]*list.Element
+	mu     sync.Mutex
+	budget int64
+	bytes  int64
+	// lru is the sentinel of a circular list of the stored entries:
+	// lru.next is the most recently used, lru.prev the eviction tail.
+	lru     entry
+	byKey   map[string]*entry
 	flights map[string]*Flight
 	stats   Stats
 }
@@ -105,12 +111,24 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
+	c := &Cache{
 		budget:  budget,
-		lru:     list.New(),
-		byKey:   make(map[string]*list.Element),
+		byKey:   make(map[string]*entry),
 		flights: make(map[string]*Flight),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// unlink removes e from the LRU list.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// toFront links e in as the most recently used entry.
+func (c *Cache) toFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Lookup resolves key atomically:
@@ -129,10 +147,11 @@ func (c *Cache) Lookup(key string) (body []byte, f *Flight, leader bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
+	if e, ok := c.byKey[key]; ok {
+		e.unlink()
+		c.toFront(e)
 		c.stats.Hits++
-		return el.Value.(*entry).body, nil, false
+		return e.body, nil, false
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.stats.Coalesced++
@@ -177,25 +196,24 @@ func (c *Cache) storeLocked(key string, body []byte) {
 	if int64(len(body)) > c.budget {
 		return
 	}
-	if el, ok := c.byKey[key]; ok {
+	if e, ok := c.byKey[key]; ok {
 		// A racing leader already published (two leaders can exist
 		// transiently when a flight resolves between a follower's
 		// Lookup and a fresh Lookup): keep the incumbent bytes.
-		c.lru.MoveToFront(el)
+		e.unlink()
+		c.toFront(e)
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&entry{key: key, body: body})
+	e := &entry{key: key, body: body}
+	c.toFront(e)
+	c.byKey[key] = e
 	c.bytes += int64(len(body))
 	c.stats.Stores++
-	for c.bytes > c.budget {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		e := tail.Value.(*entry)
-		c.lru.Remove(tail)
-		delete(c.byKey, e.key)
-		c.bytes -= int64(len(e.body))
+	for c.bytes > c.budget && c.lru.prev != &c.lru {
+		tail := c.lru.prev
+		tail.unlink()
+		delete(c.byKey, tail.key)
+		c.bytes -= int64(len(tail.body))
 		c.stats.Evictions++
 	}
 }
@@ -205,7 +223,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
+	s.Entries = len(c.byKey)
 	s.Bytes = c.bytes
 	s.Budget = c.budget
 	return s

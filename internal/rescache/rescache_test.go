@@ -1,7 +1,10 @@
 package rescache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,8 +26,8 @@ func TestKeyCanonical(t *testing.T) {
 			t.Fatalf("distinct spec %+v collided with %+v", other, spec{"sort", 16, 1})
 		}
 	}
-	if len(a) != 64 {
-		t.Fatalf("key is not a sha256 hex digest: %q", a)
+	if want := sha256.Sum256([]byte(`{"Alg":"sort","N":16,"Seed":1}`)); a != string(want[:]) {
+		t.Fatalf("key %x is not the raw sha256 of the canonical JSON (%x)", a, want)
 	}
 }
 
@@ -204,4 +207,42 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	if s := c.Stats(); s.Bytes > 1<<10 {
 		t.Fatalf("budget exceeded: %+v", s)
 	}
+}
+
+// TestEntryBytes bounds what a stored result costs the server's heap
+// beyond its body: key, LRU links and map slot. A served sort body is
+// about 152 bytes; at 100K stored entries the live heap per entry,
+// body included, must stay at or below 310 bytes.
+func TestEntryBytes(t *testing.T) {
+	const (
+		entries  = 100_000
+		bodySize = 152
+		maxBytes = 310
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(0)
+	var seed [8]byte
+	for i := 0; i < entries; i++ {
+		binary.LittleEndian.PutUint64(seed[:], uint64(i))
+		sum := sha256.Sum256(seed[:])
+		key := string(sum[:])
+		_, f, leader := c.Lookup(key)
+		if !leader {
+			t.Fatalf("entry %d: fresh key did not lead", i)
+		}
+		c.Resolve(key, f, nil, make([]byte, bodySize))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s := c.Stats(); s.Entries != entries || s.Bytes != entries*bodySize {
+		t.Fatalf("stats %+v, want %d entries of %d bytes", s, entries, bodySize)
+	}
+	per := float64(after.HeapAlloc-before.HeapAlloc) / entries
+	t.Logf("%.1f live heap bytes per stored %d-byte body", per, bodySize)
+	if per > maxBytes {
+		t.Errorf("%.1f bytes per entry, want <= %d", per, maxBytes)
+	}
+	runtime.KeepAlive(c)
 }

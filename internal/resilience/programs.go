@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/algorithms/graph"
+	"repro/internal/algorithms/sorting"
 	"repro/internal/core"
 	"repro/internal/vlsi"
 	"repro/internal/workload"
@@ -51,17 +52,7 @@ func SortProgram(m *core.Machine, xs []int64) (*Program, func() []int64, error) 
 		{
 			Name: "compare",
 			Run: func(rel vlsi.Time) vlsi.Time {
-				for i := 0; i < k; i++ {
-					for j := 0; j < k; j++ {
-						a, b := m.Get(core.RegA, i, j), m.Get(core.RegB, i, j)
-						var f int64
-						if a > b || (a == b && i > j) {
-							f = 1
-						}
-						m.Set(core.RegFlag, i, j, f)
-					}
-				}
-				return m.Local(rel, m.CostCompare())
+				return sorting.CompareStep(m, core.RegA, core.RegB, core.RegFlag, rel)
 			},
 		},
 		{
@@ -75,11 +66,7 @@ func SortProgram(m *core.Machine, xs []int64) (*Program, func() []int64, error) 
 		{
 			Name: "rank-to-root",
 			Run: func(rel vlsi.Time) vlsi.Time {
-				return m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-					i := vec.Index
-					sel := func(j int) bool { return m.Get(core.RegR, j, i) == int64(i) }
-					return m.LeafToRoot(vec, sel, core.RegA, r)
-				})
+				return sorting.RankStep(m, core.RegR, core.RegA, rel)
 			},
 			Check: func() error {
 				want := append([]int64(nil), xs...)

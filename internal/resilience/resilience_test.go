@@ -344,7 +344,7 @@ func TestSnapshotRestore(t *testing.T) {
 	// Diverge everything: new register bank, changed values, more
 	// routing traffic (the doomed attempt the supervisor discards).
 	m.Set(core.RegA, 1, 2, -1)
-	m.Set(core.Reg("scratch"), 0, 0, 9)
+	m.Set(core.NewReg("scratch"), 0, 0, 9)
 	m.SetRowRoot(3, 6)
 	attempt := m.RootToLeaf(core.Row(3), nil, core.RegB, t1)
 
@@ -354,7 +354,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if got := m.Get(core.RegA, 1, 2); got != 77 {
 		t.Fatalf("RegA(1,2) = %d after restore, want 77", got)
 	}
-	if got := m.Get(core.Reg("scratch"), 0, 0); got != 0 {
+	if got := m.Get(core.NewReg("scratch"), 0, 0); got != 0 {
 		t.Fatalf("post-snapshot bank survived restore: %d", got)
 	}
 	if got := m.RowRoot(3); got != 5 {

@@ -1,8 +1,6 @@
 package tree
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/vlsi"
 )
@@ -12,9 +10,7 @@ import (
 //
 //   - dead edges and dead IPs cut their subtree off from the root:
 //     Broadcast skips cut subtrees (their leaves report Unreached),
-//     Reduce combines only the live leaves, and the checked routing
-//     entry points return typed errors instead of claiming a path
-//     that crosses dead hardware;
+//     and Reduce combines only the live leaves;
 //   - transient corruption strikes combining ascents on the schedule
 //     drawn by fault.TreeFaults.CorruptAscent. Every word already
 //     carries a parity/checksum inside its w-bit frame (the frame is
@@ -24,37 +20,14 @@ import (
 //     ordinary way — so retries are re-charged in bit-times and
 //     robustness shows up in the A·T² ledger.
 //
-// The unchecked methods (Route, Leaf, Reduce arity, ExchangePairs)
-// keep their panics: they sit below internal/core, which validates
-// arguments and leaf liveness first, so a bad call there is a
-// simulator bug, not user input.
+// The routing methods (Route, Leaf, Reduce arity, ExchangePairs)
+// panic on bad arguments: they sit below internal/core, which
+// validates arguments and leaf liveness first, so a bad call there is
+// a simulator bug, not user input.
 
 // Unreached is the per-leaf completion sentinel for leaves cut off by
 // dead hardware (no vlsi.Time of a delivered word is ever negative).
 const Unreached vlsi.Time = -1
-
-// NodeError reports out-of-range node arguments on a checked routing
-// entry point.
-type NodeError struct {
-	Op   string
-	Node int
-	K    int
-}
-
-func (e *NodeError) Error() string {
-	return fmt.Sprintf("tree: %s: node %d out of range [1,%d)", e.Op, e.Node, 2*e.K)
-}
-
-// CutError reports a checked route blocked by dead hardware; Node is
-// the child end of the first dead edge on the path.
-type CutError struct {
-	Op   string
-	Node int
-}
-
-func (e *CutError) Error() string {
-	return fmt.Sprintf("tree: %s: path crosses dead edge above node %d", e.Op, e.Node)
-}
 
 // SetFaults attaches (or, with nil, detaches) a fault view and
 // precomputes root-reachability for every node. The reachability
@@ -105,55 +78,6 @@ func (t *Tree) ApplyFaults(p *fault.Plan, row bool, index int, h *fault.Health) 
 // current fault view, in increasing order; nil when the tree is
 // healthy. The returned slice is shared — callers must not mutate it.
 func (t *Tree) CutLeaves() []int { return t.cutLeaves }
-
-// RouteChecked is Route with validated arguments and fault awareness:
-// out-of-range nodes and paths crossing dead hardware return typed
-// errors (*NodeError, *CutError) without claiming any edge. On
-// success it claims exactly the edges Route would.
-func (t *Tree) RouteChecked(src, dst int, rel vlsi.Time) (vlsi.Time, error) {
-	if src < 1 || src >= 2*t.geom.K {
-		return 0, &NodeError{Op: "RouteChecked", Node: src, K: t.geom.K}
-	}
-	if dst < 1 || dst >= 2*t.geom.K {
-		return 0, &NodeError{Op: "RouteChecked", Node: dst, K: t.geom.K}
-	}
-	if t.faults.Dead() {
-		if v, cut := t.pathDead(src, dst); cut {
-			return 0, &CutError{Op: "RouteChecked", Node: v}
-		}
-	}
-	// Error paths above claim nothing and never advance a plan; a
-	// successful checked route records/replays exactly like Route.
-	return t.routeCommon(src, dst, rel), nil
-}
-
-// pathDead scans the src→LCA→dst path for dead edges without
-// allocating, visiting the up leg in traversal order and the down leg
-// top-down — the same scan order (and so the same reported node) as
-// the pathVia-based implementation it replaces.
-func (t *Tree) pathDead(src, dst int) (int, bool) {
-	var down [64]int
-	nd := 0
-	a, b := src, dst
-	for a != b {
-		if a > b {
-			if t.faults.EdgeDead(a) {
-				return a, true
-			}
-			a /= 2
-		} else {
-			down[nd] = b
-			nd++
-			b /= 2
-		}
-	}
-	for i := nd - 1; i >= 0; i-- {
-		if t.faults.EdgeDead(down[i]) {
-			return down[i], true
-		}
-	}
-	return 0, false
-}
 
 // broadcastFaulty is Broadcast over a tree with dead hardware: the
 // flood claims only live edges, and cut leaves report Unreached.

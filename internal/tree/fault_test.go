@@ -131,45 +131,6 @@ func TestReduceFaultyLiveOnly(t *testing.T) {
 	}
 }
 
-// TestRouteChecked: misuse and dead paths return typed errors without
-// claiming edges; live routes match Route exactly.
-func TestRouteChecked(t *testing.T) {
-	g, cfg := faultGeom(t, 8)
-	tr, _ := New(g, cfg)
-	if _, err := tr.RouteChecked(0, 9, 0); err == nil {
-		t.Error("node 0 accepted")
-	} else {
-		var ne *NodeError
-		if !errors.As(err, &ne) {
-			t.Errorf("want *NodeError, got %T", err)
-		}
-	}
-	if _, err := tr.RouteChecked(9, 99, 0); err == nil {
-		t.Error("node 99 accepted")
-	}
-
-	tr.SetFaults(fault.New(1).KillEdge(true, 0, 5).ForTree(true, 0, 8, nil))
-	// Leaf 2 lives under the dead edge (node 10 under node 5).
-	if _, err := tr.RouteChecked(tr.Leaf(2), tr.Leaf(0), 0); err == nil {
-		t.Error("route across a dead edge accepted")
-	} else {
-		var ce *CutError
-		if !errors.As(err, &ce) {
-			t.Errorf("want *CutError, got %T", err)
-		}
-	}
-	// The failed check must not have claimed anything: a live route
-	// now matches a fresh tree's.
-	fresh, _ := New(g, cfg)
-	got, err := tr.RouteChecked(tr.Leaf(0), tr.Leaf(7), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fresh.Route(fresh.Leaf(0), fresh.Leaf(7), 3); got != want {
-		t.Errorf("checked route %d vs unchecked %d — a failed probe claimed edges", got, want)
-	}
-}
-
 // TestTransientRetry: a transient-corrupted ascent retries and the
 // retry is charged in bit-times (strictly later completion than the
 // healthy ascent), with health counters recording it.

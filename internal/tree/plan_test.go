@@ -30,7 +30,7 @@ func newPlanTree(tb testing.TB, k int, cache *PlanCache) *Tree {
 
 // planOpRec is one operation of a differential stream.
 type planOpRec struct {
-	kind int // 0 broadcast, 1 reduceU, 2 reduce, 3 route, 4 exchange, 5 gather, 6 routeChecked
+	kind int // 0 broadcast, 1 reduceU, 2 reduce, 3 route, 4 exchange, 5 gather
 	a, b int
 	rel  vlsi.Time
 	rels []vlsi.Time
@@ -39,14 +39,14 @@ type planOpRec struct {
 func randStream(rng *rand.Rand, k, n int) []planOpRec {
 	ops := make([]planOpRec, n)
 	for i := range ops {
-		o := planOpRec{kind: rng.Intn(7), rel: vlsi.Time(rng.Intn(50))}
+		o := planOpRec{kind: rng.Intn(6), rel: vlsi.Time(rng.Intn(50))}
 		switch o.kind {
 		case 2:
 			o.rels = make([]vlsi.Time, k)
 			for j := range o.rels {
 				o.rels[j] = vlsi.Time(rng.Intn(50))
 			}
-		case 3, 6:
+		case 3:
 			o.a = 1 + rng.Intn(2*k-1)
 			o.b = 1 + rng.Intn(2*k-1)
 		case 4:
@@ -71,7 +71,7 @@ func log2(k int) int {
 }
 
 // applyPlanOp runs one stream operation and folds every observable
-// output — completion times, the full perLeaf vector, the error kind —
+// output — completion times and the full perLeaf vector —
 // into a comparable signature.
 func applyPlanOp(tr *Tree, o planOpRec) (sig uint64) {
 	h := func(x uint64) { sig = mix64(sig ^ x) }
@@ -92,16 +92,6 @@ func applyPlanOp(tr *Tree, o planOpRec) (sig uint64) {
 		h(uint64(tr.ExchangePairs(o.a, o.rel)))
 	case 5:
 		h(uint64(tr.Gather(o.a, o.rel)))
-	case 6:
-		d, err := tr.RouteChecked(o.a, o.b, o.rel)
-		h(uint64(d))
-		if err != nil {
-			if ce, ok := err.(*CutError); ok {
-				h(0xC0 ^ uint64(ce.Node))
-			} else {
-				h(0xE0)
-			}
-		}
 	}
 	return sig
 }

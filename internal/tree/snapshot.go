@@ -28,12 +28,26 @@ type State struct {
 	pos              int
 }
 
-// Snapshot copies the router's occupancy and ascent counter. The
-// replay state is synchronized first, so the arrays captured are
-// exactly the interpreter's; an in-flight recording freezes here —
-// checkpointed prefixes are valid plans (they start at Reset), and
-// over repeated supervised runs the plan grows segment by segment.
+// Snapshot copies the router's occupancy and ascent counter into a
+// new State.
 func (t *Tree) Snapshot() *State {
+	s := new(State)
+	t.SnapshotInto(s, make([]vlsi.Time, t.StateWords()))
+	return s
+}
+
+// StateWords is the number of occupancy words one State of the router
+// holds: the share of buf SnapshotInto uses.
+func (t *Tree) StateWords() int { return len(t.upFree) + len(t.downFree) }
+
+// SnapshotInto is Snapshot into s, its occupancy copies carved from the
+// front of buf (at least StateWords long); it returns the rest of buf,
+// so a caller checkpointing many trees allocates once. The replay
+// state is synchronized first, so the arrays captured are exactly the
+// interpreter's; an in-flight recording freezes here — checkpointed
+// prefixes are valid plans (they start at Reset), and over repeated
+// supervised runs the plan grows segment by segment.
+func (t *Tree) SnapshotInto(s *State, buf []vlsi.Time) []vlsi.Time {
 	t.sync()
 	if t.rec != nil {
 		t.freezePlan()
@@ -42,16 +56,17 @@ func (t *Tree) Snapshot() *State {
 			t.applied = t.pos
 		}
 	}
-	s := &State{
-		upFree:   make([]vlsi.Time, len(t.upFree)),
-		downFree: make([]vlsi.Time, len(t.downFree)),
+	nu, nd := len(t.upFree), len(t.downFree)
+	*s = State{
+		upFree:   buf[:nu:nu],
+		downFree: buf[nu : nu+nd : nu+nd],
 		ascents:  t.ascents,
 		plan:     t.plan,
 		pos:      t.pos,
 	}
 	copy(s.upFree, t.upFree)
 	copy(s.downFree, t.downFree)
-	return s
+	return buf[nu+nd:]
 }
 
 // Restore copies a previously captured State back into the router.

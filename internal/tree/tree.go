@@ -206,12 +206,6 @@ func (t *Tree) claim(v int, up bool, head vlsi.Time) vlsi.Time {
 func (t *Tree) Route(src, dst int, rel vlsi.Time) vlsi.Time {
 	t.checkNode(src)
 	t.checkNode(dst)
-	return t.routeCommon(src, dst, rel)
-}
-
-// routeCommon is the compile/replay wrapper shared by Route and
-// RouteChecked (whose validations have already passed).
-func (t *Tree) routeCommon(src, dst int, rel vlsi.Time) vlsi.Time {
 	if t.planActive() {
 		if st := t.planStep(opRoute, int32(src), int32(dst), rel, nil); st != nil {
 			return st.done

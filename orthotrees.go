@@ -144,6 +144,21 @@ type (
 	MachineKey = mcache.Key
 )
 
+// The registers the paper's programs name. Any other register is
+// interned with NewReg.
+const (
+	RegA    = core.RegA
+	RegB    = core.RegB
+	RegC    = core.RegC
+	RegD    = core.RegD
+	RegR    = core.RegR
+	RegFlag = core.RegFlag
+)
+
+// NewReg returns the register called name, interning it on first use:
+// the same name always yields the same Reg.
+func NewReg(name string) Reg { return core.NewReg(name) }
+
 // Delay models.
 type (
 	// LogDelay is Thompson's logarithmic wire-delay model.

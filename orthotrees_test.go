@@ -255,13 +255,13 @@ func TestRouteCompileMatchesInterpretation(t *testing.T) {
 		}},
 		{"LeafToLeaf/K=64", func(m *orthotrees.Machine) orthotrees.Time {
 			m.Reset()
-			m.Set("A", 0, 5, 42)
-			return m.LeafToLeaf(row, core.One(5), "A", core.All, "B", 0)
+			m.Set(core.RegA, 0, 5, 42)
+			return m.LeafToLeaf(row, core.One(5), core.RegA, core.All, core.RegB, 0)
 		}},
 		{"ParDoSweep/K=64", func(m *orthotrees.Machine) orthotrees.Time {
 			m.Reset()
 			return m.ParDo(true, 0, func(vec orthotrees.Vector, rel orthotrees.Time) orthotrees.Time {
-				return m.LeafToRoot(vec, core.One(5), "A", rel)
+				return m.LeafToRoot(vec, core.One(5), core.RegA, rel)
 			})
 		}},
 	}
