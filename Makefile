@@ -25,8 +25,12 @@ vet:
 # resolves and evicts through under one mutex, and its LRU links are
 # plain pointers that only that mutex orders. The explicit
 # Plan pass keeps the compiled-routing replay paths (shared plan
-# cache, differential fuzz, stale-plan recovery) under the detector by
-# name, so a test rename can't silently drop them.
+# cache, differential fuzz, stale-plan recovery, divergence
+# checkpoints and re-arming) under the detector by name, so a test
+# rename can't silently drop them. A shared plan's one mutable field
+# is its divergence checkpoint, which trees replaying the plan on
+# different goroutines publish once by compare-and-swap and read
+# through the same atomic pointer.
 race:
 	$(GO) test -race ./internal/concurrent/... ./internal/tree/... ./internal/par/... ./internal/core/... ./internal/mcache/... ./internal/fault/... ./internal/resilience/... ./internal/server/... ./internal/run/... ./internal/bits/... ./internal/packed/... ./internal/journal/... ./internal/rescache/...
 	$(GO) test -race -run 'Deterministic|Parallel|Batch|Recovery' ./internal/analysis/... ./internal/algorithms/sorting/...
@@ -38,7 +42,9 @@ race:
 # static plans, fault-arrival schedules through the recovery
 # supervisor, and the packed-vs-scalar differential (op streams must
 # produce identical bit-times and results);
-# plus the four-lane G(n, p) draw against the plain per-pair loop.
+# plus the four-lane G(n, p) draw against the plain per-pair loop,
+# and the result cache's compact report form (exact round trip,
+# arbitrary bytes decode to an error without panicking).
 fuzz:
 	$(GO) test -fuzz FuzzPlanDeterminism -fuzztime 10s ./internal/fault
 	$(GO) test -fuzz FuzzScheduleDeterminism -fuzztime 10s ./internal/fault
@@ -46,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIncrementalDifferential -fuzztime 15s ./internal/resilience
 	$(GO) test -fuzz FuzzJournalTornTail -fuzztime 10s ./internal/journal
 	$(GO) test -fuzz FuzzGnpDraw -fuzztime 10s ./internal/workload
+	$(GO) test -fuzz FuzzCompactReport -fuzztime 10s ./internal/report
 
 # Regenerate the committed benchmark baseline (host numbers are
 # environmental; the simulated metrics inside must never change).

@@ -143,6 +143,39 @@ func TestOTCGoldens(t *testing.T) {
 	}
 }
 
+// TestSortTraceGoldens pins SORT-OTN's primitive trace and summary,
+// and the report printed with them, at N=16 and N=64 to what otsim
+// printed before step 2 and step 5 gathered by index and by rank key
+// instead of through selectors. Each golden pair is the narration
+// (.txt) and the report (.json).
+func TestSortTraceGoldens(t *testing.T) {
+	for _, n := range []string{"16", "64"} {
+		for _, flag := range []string{"trace", "summary"} {
+			golden := "sort-" + n + "-" + flag
+			t.Run(golden, func(t *testing.T) {
+				wantOut, err := os.ReadFile(filepath.Join("testdata", golden+".json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantNarration, err := os.ReadFile(filepath.Join("testdata", golden+".txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, narration, err := otsimOut(t, "-alg", "sort", "-n", n, "-"+flag, "-json")
+				if err != nil {
+					t.Fatalf("otsim: %v", err)
+				}
+				if got != string(wantOut) {
+					t.Fatalf("printed\n%s\nwant\n%s", got, wantOut)
+				}
+				if narration != string(wantNarration) {
+					t.Fatalf("narrated\n%s\nwant\n%s", narration, wantNarration)
+				}
+			})
+		}
+	}
+}
+
 // TestRejectsBeforeRunning pins that flag combinations otsim cannot
 // serve fail before anything runs: no narration, no report.
 func TestRejectsBeforeRunning(t *testing.T) {

@@ -44,9 +44,7 @@ func SortOTN(m *core.Machine, xs []int64, rel vlsi.Time) ([]int64, vlsi.Time) {
 	// Step 2: LEAFTOLEAF(column(i), source=(i, A), dest=(all, B)) —
 	// x(i) from BP(i,i) to every BP of column i, so BP(i,j) now
 	// holds A=x(i), B=x(j).
-	t = m.ParDo(false, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		return m.LeafToLeaf(vec, core.One(vec.Index), core.RegA, nil, core.RegB, r)
-	})
+	t = DiagonalStep(m, core.RegA, core.RegB, t)
 
 	// Step 3 (modified for duplicates): flag(i,j) = 1 iff
 	// A(i,j) > B(i,j) or (A = B and i > j).
@@ -73,44 +71,64 @@ func SortOTN(m *core.Machine, xs []int64, rel vlsi.Time) ([]int64, vlsi.Time) {
 // every BP(i,j) sets flag(i,j) = 1 iff a(i,j) > b(i,j), or a = b and
 // i > j, else 0, in one local word comparison after rel. The host
 // sweeps the a and b banks row by row, splitting each row at the
-// diagonal so the tie-break becomes >= left of it and > from it on;
-// the flag writes go through Set, so stuck BPs stay frozen.
+// diagonal so the tie-break becomes >= left of it and > from it on.
+// The flags go straight into the flag bank's rows unless the machine
+// has stuck BPs, whose writes go through Set so they stay frozen.
 func CompareStep(m *core.Machine, a, b, flag core.Reg, rel vlsi.Time) vlsi.Time {
 	k := m.K
-	av, bv := m.Bank(a), m.Bank(b)
+	av, bv, fv := m.Bank(a), m.Bank(b), m.Bank(flag)
+	stuck := m.HasStuckBPs()
 	for i := 0; i < k; i++ {
 		ra := av[i*k : (i+1)*k]
 		rb := bv[i*k : (i+1)*k]
-		rb = rb[:len(ra)]
+		rf := fv[i*k : (i+1)*k]
+		rb, rf = rb[:len(ra)], rf[:len(ra)]
+		if stuck {
+			for j := range ra {
+				var f int64
+				if ra[j] > rb[j] || (ra[j] == rb[j] && i > j) {
+					f = 1
+				}
+				m.Set(flag, i, j, f)
+			}
+			continue
+		}
 		for j := 0; j < i; j++ {
 			var f int64
 			if ra[j] >= rb[j] {
 				f = 1
 			}
-			m.Set(flag, i, j, f)
+			rf[j] = f
 		}
 		for j := i; j < len(ra); j++ {
 			var f int64
 			if ra[j] > rb[j] {
 				f = 1
 			}
-			m.Set(flag, i, j, f)
+			rf[j] = f
 		}
 	}
 	return m.Local(rel, m.CostCompare())
 }
 
+// DiagonalStep is step 2 of SORT-OTN, LEAFTOLEAF(column(i),
+// source = (i, src), dest = (all, dst)): column tree i takes register
+// src of BP(i,i) to its root and broadcasts it into dst of every BP
+// of column i. The source is named by position, so no selector is
+// asked about every BP.
+func DiagonalStep(m *core.Machine, src, dst core.Reg, rel vlsi.Time) vlsi.Time {
+	return m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
+		t := m.LeafToRootAt(vec, vec.Index, src, r)
+		return m.RootToLeaf(vec, nil, dst, t)
+	})
+}
+
 // RankStep is step 5 of SORT-OTN: column tree i extracts register src
 // of the one BP(j,i) whose rank register holds i, leaving the element
-// of rank i at output port i. The selectors read the rank bank
-// through one view hoisted out of the K column sweeps.
+// of rank i at output port i.
 func RankStep(m *core.Machine, rank, src core.Reg, rel vlsi.Time) vlsi.Time {
-	k := m.K
-	rv := m.Bank(rank)
 	return m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		i := vec.Index
-		sel := func(j int) bool { return rv[j*k+i] == int64(i) }
-		return m.LeafToRoot(vec, sel, src, r)
+		return m.LeafToRootKey(vec, rank, int64(vec.Index), src, r)
 	})
 }
 
@@ -163,9 +181,7 @@ func SortOTNPipelined(m *core.Machine, batches [][]int64, interval vlsi.Time) []
 	}
 	// Phase 2: step 2 — x(j) down the column trees.
 	for b := range batches {
-		times[b] = m.ParDo(false, times[b], func(vec core.Vector, r vlsi.Time) vlsi.Time {
-			return m.LeafToLeaf(vec, core.One(vec.Index), regA[b], nil, regB[b], r)
-		})
+		times[b] = DiagonalStep(m, regA[b], regB[b], times[b])
 	}
 	// Phase 3: step 3, the local comparison (modified for duplicate
 	// keys).

@@ -351,13 +351,18 @@ func (m *Machine) Set(r Reg, i, j int, v int64) {
 	m.bank(r)[k] = v
 }
 
-// Bank returns register r over all BPs as a read-only view: one
-// row-major K×K slice, BP(i,j) at index i*K+j, so row i is
-// Bank(r)[i*K : (i+1)*K]. The view aliases the register file and
-// sees later writes; programs hoist it out of per-BP loops instead of
-// calling Get per element. Writes go through Set (or a primitive),
-// which keeps stuck BPs frozen.
+// Bank returns register r over all BPs as one row-major K×K slice,
+// BP(i,j) at index i*K+j, so row i is Bank(r)[i*K : (i+1)*K]. The
+// view aliases the register file and sees later writes; programs
+// hoist it out of per-BP loops instead of calling Get per element. A
+// write through the view bypasses the stuck-BP freeze, so a program
+// writes through it only while HasStuckBPs is false, and through Set
+// (or a primitive), which keeps stuck BPs frozen, otherwise.
 func (m *Machine) Bank(r Reg) []int64 { return m.bank(r) }
+
+// HasStuckBPs reports whether the machine's fault plan froze the
+// register file of any BP.
+func (m *Machine) HasStuckBPs() bool { return m.stuck != nil }
 
 // at reads register r at position k of a vector. A row sweep walks
 // the flat bank at unit stride; a column sweep at stride K.

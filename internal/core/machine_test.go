@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +134,68 @@ func TestLeafToRootSelectorArity(t *testing.T) {
 	m.LeafToRoot(Row(0), func(k int) bool { return k < 2 }, RegA, 0)
 	if !errors.As(m.Err(), &se) || se.Selected != 2 {
 		t.Errorf("two-BP selection: err = %v", m.Err())
+	}
+}
+
+// TestLeafToRootFormsMatchSelector pins the index and key forms of
+// LEAFTOROOT to the selector form: the same root word, completion time
+// and trace event on a good selection, and the same *SelectorError
+// with the time unchanged on a selection of zero or two BPs. The key
+// form's two-BP case is an R bank holding a duplicate rank.
+func TestLeafToRootFormsMatchSelector(t *testing.T) {
+	const k = 8
+	type outcome struct {
+		root, done int64
+		err        string
+		events     []string
+	}
+	run := func(f func(m *Machine) int64) outcome {
+		m := testMachine(t, k)
+		for j := 0; j < k; j++ {
+			m.Set(RegA, j, 3, int64(100+j))
+			m.Set(RegR, j, 3, int64(j))
+		}
+		m.Set(RegR, 6, 3, 2) // rank 2 twice, rank 6 never
+		var o outcome
+		m.Tracer = func(op string, vec Vector, start, end vlsi.Time) {
+			o.events = append(o.events, fmt.Sprintf("%s %v %d %d", op, vec, start, end))
+		}
+		o.done = f(m)
+		o.root = m.ColRoot(3)
+		if err := m.Err(); err != nil {
+			o.err = err.Error()
+			var se *SelectorError
+			if !errors.As(err, &se) || se.Op != "LEAFTOROOT" {
+				t.Fatalf("err %v is not a LEAFTOROOT *SelectorError", err)
+			}
+		}
+		return o
+	}
+	vec := Col(3)
+	byRank := func(rank int64) Sel {
+		return func(j int) bool { return j == int(rank) && j != 6 || j == 6 && rank == 2 }
+	}
+	for _, c := range []struct {
+		name      string
+		sel       Sel
+		form      func(m *Machine) vlsi.Time
+		wantError bool
+	}{
+		{"index 5", One(5), func(m *Machine) vlsi.Time { return m.LeafToRootAt(vec, 5, RegA, 9) }, false},
+		{"index 8", One(8), func(m *Machine) vlsi.Time { return m.LeafToRootAt(vec, 8, RegA, 9) }, true},
+		{"index -1", One(-1), func(m *Machine) vlsi.Time { return m.LeafToRootAt(vec, -1, RegA, 9) }, true},
+		{"key 4", byRank(4), func(m *Machine) vlsi.Time { return m.LeafToRootKey(vec, RegR, 4, RegA, 9) }, false},
+		{"key 6 (no BP)", byRank(6), func(m *Machine) vlsi.Time { return m.LeafToRootKey(vec, RegR, 6, RegA, 9) }, true},
+		{"key 2 (two BPs)", byRank(2), func(m *Machine) vlsi.Time { return m.LeafToRootKey(vec, RegR, 2, RegA, 9) }, true},
+	} {
+		want := run(func(m *Machine) int64 { return int64(m.LeafToRoot(vec, c.sel, RegA, 9)) })
+		got := run(func(m *Machine) int64 { return int64(c.form(m)) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: form gave %+v, selector %+v", c.name, got, want)
+		}
+		if (want.err != "") != c.wantError {
+			t.Errorf("%s: selector form error %q, want an error: %v", c.name, want.err, c.wantError)
+		}
 	}
 }
 

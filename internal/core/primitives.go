@@ -83,6 +83,49 @@ func (m *Machine) LeafToRoot(vec Vector, sel Sel, src Reg, rel vlsi.Time) vlsi.T
 			n++
 		}
 	}
+	return m.leafToRoot(vec, leaf, n, src, rel)
+}
+
+// LeafToRootAt is LeafToRoot from the BP at position leaf of the
+// vector, named directly rather than by a selector that would be
+// asked about every position. A position outside the vector selects
+// no BP and records the selector form's *SelectorError.
+func (m *Machine) LeafToRootAt(vec Vector, leaf int, src Reg, rel vlsi.Time) vlsi.Time {
+	if err := m.checkVec("LEAFTOROOT", vec); err != nil {
+		m.fail(err)
+		return rel
+	}
+	n := 1
+	if leaf < 0 || leaf >= m.K {
+		n = 0
+	}
+	return m.leafToRoot(vec, leaf, n, src, rel)
+}
+
+// LeafToRootKey is LeafToRoot from the BP whose register key holds
+// val — SORT-OTN's "source = (j : R(j,i) = i)" — found by one strided
+// sweep of the key bank. Zero or several such BPs record the selector
+// form's *SelectorError.
+func (m *Machine) LeafToRootKey(vec Vector, key Reg, val int64, src Reg, rel vlsi.Time) vlsi.Time {
+	if err := m.checkVec("LEAFTOROOT", vec); err != nil {
+		m.fail(err)
+		return rel
+	}
+	b := m.bank(key)
+	base, step := m.vecSpan(vec)
+	leaf, n := -1, 0
+	for k := 0; k < m.K; k++ {
+		if b[base+k*step] == val {
+			leaf = k
+			n++
+		}
+	}
+	return m.leafToRoot(vec, leaf, n, src, rel)
+}
+
+// leafToRoot is the LEAFTOROOT forms' common tail, given the selected
+// position and how many BPs were selected.
+func (m *Machine) leafToRoot(vec Vector, leaf, n int, src Reg, rel vlsi.Time) vlsi.Time {
 	if n != 1 {
 		m.fail(&SelectorError{Op: "LEAFTOROOT", Vec: vec, Selected: n})
 		return rel

@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -41,7 +42,7 @@ const DefaultBudget = 64 << 20
 // field that changes the result must be present in v — and any field
 // that does not (client identity, deadlines, transport ids) must not.
 // The key is the raw 32-byte digest, so it is not printable; a stored
-// entry keeps one copy of it, shared by the entry and its map slot.
+// entry keeps one copy of it, in the allocation that holds its body.
 func Key(v any) string {
 	blob, err := json.Marshal(v)
 	if err != nil {
@@ -83,13 +84,23 @@ type Stats struct {
 }
 
 // entry is one stored body and its place in the LRU list. The list
-// runs through the entries themselves, so a stored body costs the
-// body, its 32-byte key, this entry and a map slot.
+// runs through the entries themselves. The key and the body share one
+// allocation, kb: a length byte, the key, then the body; the map slot
+// keys on the key's substring of it. So a stored result costs kb,
+// this entry and a map slot, and a hit hands out a copy of its body.
 type entry struct {
-	key        string
-	body       []byte
+	kb         string
 	prev, next *entry
 }
+
+// maxKeyLen is the longest key kb's length byte can hold. Key's
+// digests are 32 bytes; a longer key is served to its flight but
+// never stored.
+const maxKeyLen = 255
+
+func (e *entry) key() string { return e.kb[1 : 1+int(e.kb[0])] }
+
+func (e *entry) body() string { return e.kb[1+int(e.kb[0]):] }
 
 // Cache is the byte-budgeted LRU plus the flight table. All methods
 // are safe for concurrent use.
@@ -151,7 +162,7 @@ func (c *Cache) Lookup(key string) (body []byte, f *Flight, leader bool) {
 		e.unlink()
 		c.toFront(e)
 		c.stats.Hits++
-		return e.body, nil, false
+		return []byte(e.body()), nil, false
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.stats.Coalesced++
@@ -190,10 +201,11 @@ func (c *Cache) Resolve(key string, f *Flight, val any, body []byte) {
 }
 
 // storeLocked publishes body under key and evicts from the LRU tail
-// until the budget holds. Oversize bodies are served to the current
-// flight but never stored.
+// until the budget holds. Oversize bodies, and bodies under keys
+// longer than maxKeyLen, are served to the current flight but never
+// stored.
 func (c *Cache) storeLocked(key string, body []byte) {
-	if int64(len(body)) > c.budget {
+	if int64(len(body)) > c.budget || len(key) > maxKeyLen {
 		return
 	}
 	if e, ok := c.byKey[key]; ok {
@@ -204,16 +216,21 @@ func (c *Cache) storeLocked(key string, body []byte) {
 		c.toFront(e)
 		return
 	}
-	e := &entry{key: key, body: body}
+	var kb strings.Builder
+	kb.Grow(1 + len(key) + len(body))
+	kb.WriteByte(byte(len(key)))
+	kb.WriteString(key)
+	kb.Write(body)
+	e := &entry{kb: kb.String()}
 	c.toFront(e)
-	c.byKey[key] = e
+	c.byKey[e.key()] = e
 	c.bytes += int64(len(body))
 	c.stats.Stores++
 	for c.bytes > c.budget && c.lru.prev != &c.lru {
 		tail := c.lru.prev
 		tail.unlink()
-		delete(c.byKey, tail.key)
-		c.bytes -= int64(len(tail.body))
+		delete(c.byKey, tail.key())
+		c.bytes -= int64(len(tail.body()))
 		c.stats.Evictions++
 	}
 }

@@ -44,9 +44,7 @@ func SortProgram(m *core.Machine, xs []int64) (*Program, func() []int64, error) 
 		{
 			Name: "leaf-to-leaf",
 			Run: func(rel vlsi.Time) vlsi.Time {
-				return m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-					return m.LeafToLeaf(vec, core.One(vec.Index), core.RegA, nil, core.RegB, r)
-				})
+				return sorting.DiagonalStep(m, core.RegA, core.RegB, rel)
 			},
 		},
 		{

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -155,8 +154,8 @@ func served(o outcome, jobID string) (*report.Report, error) {
 	case o.mark == "":
 		return o.res.rep, o.res.err
 	case o.body != nil:
-		var rep report.Report
-		if err := json.Unmarshal(o.body, &rep); err != nil {
+		rep, err := report.DecodeCompact(o.body)
+		if err != nil {
 			// Corrupt cached bytes would be a bug; fail the job loudly
 			// rather than serve garbage.
 			return nil, fmt.Errorf("result cache: stored bytes: %w", err)
@@ -164,7 +163,7 @@ func served(o outcome, jobID string) (*report.Report, error) {
 		rep.JobID = jobID
 		rep.Cached = o.mark == markHit
 		rep.Coalesced = o.mark == markCoalesced
-		return &rep, nil
+		return rep, nil
 	case o.res.rep == nil:
 		return nil, o.res.err
 	}
@@ -229,19 +228,18 @@ func streamOutcome(jobID string, o outcome) streamItem {
 	return it
 }
 
-// canonicalBody renders a successful report stripped of per-request
+// canonicalBody encodes a successful report stripped of per-request
 // transport identity — job id and every serving-mode mark — so one
 // stored entry can answer any client. served re-labels it per
-// response; the round trip is byte-exact for every simulated field
-// (report.Same is the pinned equivalence). The bytes are compact JSON:
-// no response sends them as they are, and an entry stays resident for
-// as long as the byte budget allows, so the indentation would cost a
-// fifth to a quarter of every stored body.
+// response; the round trip is exact for every field. The bytes are
+// the report's compact binary form (report.EncodeCompact): no
+// response sends them as they are, and an entry stays resident for as
+// long as the byte budget allows, so a sort's body is 29 bytes rather
+// than about 165 of JSON, and a hit decodes without a JSON parse.
 func canonicalBody(rep *report.Report) []byte {
 	c := *rep
 	c.JobID = ""
 	c.Replayed, c.Deduped = false, false
 	c.Cached, c.Coalesced = false, false
-	body, _ := json.Marshal(&c) // a Report is plain data: it always marshals
-	return body
+	return report.EncodeCompact(&c)
 }

@@ -2,12 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/mcache"
 	"repro/internal/report"
+	"repro/internal/rescache"
 )
 
 // postRaw submits one job with optional headers and returns the full
@@ -313,4 +319,44 @@ func TestStreamCacheMarks(t *testing.T) {
 	if executed != 1 || served != 2 {
 		t.Fatalf("executed %d served %d, want 1 and 2", executed, served)
 	}
+}
+
+// TestStoredSortEntryBytes bounds the live heap one stored sort64
+// result costs the server: its canonical body, key, LRU entry and map
+// slot. Served seeds are full 64-bit draws, so this report's seed is
+// one too. A 29-byte compact body sharing one allocation with its key
+// measures about 131 bytes.
+func TestStoredSortEntryBytes(t *testing.T) {
+	const (
+		entries  = 100_000
+		maxBytes = 150
+	)
+	rep, err := NewExecutor(mcache.New()).Run(context.Background(),
+		&Job{Alg: "sort", N: 64, Seed: 0x9E3779B97F4A7C15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := rescache.New(0)
+	var seed [8]byte
+	for i := 0; i < entries; i++ {
+		binary.LittleEndian.PutUint64(seed[:], uint64(i))
+		sum := sha256.Sum256(seed[:])
+		key := string(sum[:])
+		_, f, _ := c.Lookup(key)
+		c.Resolve(key, f, nil, canonicalBody(rep))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s := c.Stats(); s.Entries != entries {
+		t.Fatalf("stats %+v, want %d entries", s, entries)
+	}
+	per := float64(after.HeapAlloc-before.HeapAlloc) / entries
+	t.Logf("%.1f live heap bytes per stored sort64 result (%d-byte body)", per, len(canonicalBody(rep)))
+	if per > maxBytes {
+		t.Errorf("%.1f bytes per stored result, want <= %d", per, maxBytes)
+	}
+	runtime.KeepAlive(c)
 }

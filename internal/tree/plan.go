@@ -2,6 +2,7 @@ package tree
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vlsi"
 )
@@ -34,10 +35,29 @@ import (
 // the interpreter would produce, bit for bit. The first operation
 // that fails to match (a data-dependent divergence, a stream longer
 // or shorter than recorded) falls back: the router re-establishes the
-// interpreter's occupancy state (zero arrays, then re-interpret the
-// matched prefix — or, when the whole plan matched, one O(K) copy of
-// the recorded end-state) and interprets from there. Replay is
-// therefore an memoization cache with verify-on-use, never an oracle.
+// interpreter's occupancy state and interprets from there. That state
+// is one O(K) copy when the plan holds it — the recorded end state of
+// a fully matched plan, or the divergence checkpoint below — and
+// otherwise zero arrays plus a re-interpretation of the matched
+// prefix. Replay is therefore a memoization cache with verify-on-use,
+// never an oracle.
+//
+// Divergence checkpoints: a stream whose routes depend on data — say
+// SORT-OTN step 5, which gathers from whichever BP holds rank i —
+// matches its plan up to one step s and diverges there on most runs.
+// The first replay that diverges publishes, once, the occupancy it
+// synchronized to (the interpreter's state after steps 0..s−1) on the
+// plan as its checkpoint, through an atomic pointer; the plan is
+// otherwise unchanged. Later divergences at or after s start from
+// that copy instead of re-interpreting the prefix. The checkpoint is
+// the interpreter's own state after a prefix every later user matched
+// step by step, so it is exact by the same argument as the end state.
+//
+// Re-arming: a tree keeps the plan it diverged from and re-arms it at
+// the next Reset in O(1), like a plan it replayed whole. A re-armed
+// (or held) plan whose very first step mismatches is not a divergence
+// but a different stream: the tree then does what a fresh Reset would
+// and adopts a published plan for it or records its own.
 //
 // Fault interplay: plans are keyed by the fault view's fingerprint
 // and evicted on every SetFaults (injection, merge, clearing — so
@@ -56,7 +76,11 @@ import (
 // other machines or replayed on other goroutines — may adopt a
 // published plan; verify-on-use makes adopting a stale or wrong
 // candidate safe. The cache is mutex-guarded and plans are read-only
-// after freeze, so sharing is race-free (pinned by the -race tests).
+// after freeze apart from the checkpoint, which is published by one
+// compare-and-swap and immutable after it, so sharing is race-free
+// (pinned by the -race tests). A re-armed plan is the tree's own
+// reference and never goes back through the cache; SetFaults drops
+// it with the plan.
 
 // planOp enumerates the recordable operations.
 type planOp uint8
@@ -102,6 +126,16 @@ type RoutePlan struct {
 	// full marks a plan frozen at planMaxSteps: exhausting it does
 	// not restart recording.
 	full bool
+	// ckpt is the divergence checkpoint, nil until a replay first
+	// diverges past step 0.
+	ckpt atomic.Pointer[planCheckpoint]
+}
+
+// planCheckpoint is the interpreter's occupancy after the first pos
+// steps of a plan, pos > 0. It is immutable once published.
+type planCheckpoint struct {
+	pos      int
+	up, down []vlsi.Time
 }
 
 // planRecorder accumulates steps between Reset and freeze.
@@ -238,6 +272,7 @@ func (t *Tree) SetCompile(on bool) {
 	}
 	t.sync()
 	t.plan = nil
+	t.rearm = nil
 	t.rec = nil
 	t.adopt = false
 	t.compileOff = true
@@ -278,13 +313,10 @@ func (t *Tree) planStep(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) 
 		return nil
 	}
 	st := &p.steps[t.pos]
-	if st.op != op || st.a != a || st.b != b || st.rel != rel || !timesEqual(st.rels, rels) {
-		// Mid-plan divergence: this stream genuinely differs from the
-		// recorded one. Materialize and interpret; do not re-record (a
-		// stream that diverges mid-prefix is unstable run to run).
-		t.sync()
-		t.plan = nil
-		return nil
+	if !st.matches(op, a, b, rel, rels) {
+		if st = t.mismatch(p, op, a, b, rel, rels); st == nil {
+			return nil
+		}
 	}
 	// Under an attached fault view every combining ascent — replayed
 	// or not — consumes one sequence number of the monotone ascent
@@ -297,6 +329,52 @@ func (t *Tree) planStep(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) 
 	}
 	t.pos++
 	return st
+}
+
+// matches reports whether an incoming operation is the recorded one.
+func (st *planStep) matches(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) bool {
+	return st.op == op && st.a == a && st.b == b && st.rel == rel && timesEqual(st.rels, rels)
+}
+
+// mismatch handles an operation that is not the plan's next step and
+// returns the step to replay instead, if any. Past step 0 the run
+// diverges from the plan. At step 0 it is a different stream: do what
+// a fresh Reset would — adopt a plan published for it, or record one.
+func (t *Tree) mismatch(p *RoutePlan, op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) *planStep {
+	if t.pos > 0 {
+		t.diverge(p)
+		return nil
+	}
+	t.plan, t.rearm = nil, nil
+	t.sync()
+	t.adoptOrRecord(op, a, b, rel, rels)
+	if p = t.plan; p == nil {
+		return nil
+	}
+	if st := &p.steps[0]; st.matches(op, a, b, rel, rels) {
+		return st
+	}
+	t.plan = nil
+	return nil
+}
+
+// diverge handles a mid-plan mismatch: this stream genuinely differs
+// from the recorded one after a matched prefix. Materialize and
+// interpret the rest of the run; do not re-record (a stream that
+// diverges mid-prefix is unstable run to run), but publish the
+// synchronized prefix as the plan's checkpoint if it has none and
+// keep the plan for the next Reset to re-arm.
+func (t *Tree) diverge(p *RoutePlan) {
+	t.sync()
+	if p.ckpt.Load() == nil {
+		p.ckpt.CompareAndSwap(nil, &planCheckpoint{
+			pos:  t.pos,
+			up:   append([]vlsi.Time(nil), t.upFree...),
+			down: append([]vlsi.Time(nil), t.downFree...),
+		})
+	}
+	t.plan = nil
+	t.rearm = p
 }
 
 // planExhausted handles a stream longer than its plan: materialize
@@ -322,7 +400,7 @@ func (t *Tree) planExhausted(p *RoutePlan) {
 // start recording a fresh one.
 func (t *Tree) adoptOrRecord(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) {
 	t.adopt = false
-	if t.compileOff || t.inOp {
+	if t.compileOff || t.transient || t.inOp {
 		return
 	}
 	if t.cache != nil {
@@ -383,21 +461,31 @@ func (t *Tree) freezePlan() {
 
 // sync brings the occupancy arrays (and the ascent counter) to the
 // replay cursor: the state the interpreter would be in after the
-// matched prefix. Fully matched plans restore the recorded end state
-// in O(K); partial prefixes re-interpret the matched steps.
+// matched prefix. It starts from the latest state the plan holds at
+// or before the cursor — the recorded end state of a fully matched
+// plan or the divergence checkpoint, one O(K) copy either way — and
+// re-interprets only the matched steps after it.
 func (t *Tree) sync() {
+	p := t.plan
+	if p != nil && t.applied < t.pos {
+		if t.pos == len(p.steps) {
+			copy(t.upFree, p.endUp)
+			copy(t.downFree, p.endDown)
+			t.applied, t.occDirty = t.pos, false
+		} else if c := p.ckpt.Load(); c != nil && t.applied < c.pos && c.pos <= t.pos {
+			// An unsynchronized run has applied == 0 < c.pos, so a
+			// dirty run always starts from the copy, never from the
+			// stale arrays.
+			copy(t.upFree, c.up)
+			copy(t.downFree, c.down)
+			t.applied, t.occDirty = c.pos, false
+		}
+	}
 	if t.occDirty {
 		t.zeroOcc()
 		t.occDirty = false
 	}
-	p := t.plan
 	if p == nil || t.applied >= t.pos {
-		t.applied = t.pos
-		return
-	}
-	if t.applied == 0 && t.pos == len(p.steps) {
-		copy(t.upFree, p.endUp)
-		copy(t.downFree, p.endDown)
 		t.applied = t.pos
 		return
 	}
@@ -440,6 +528,7 @@ func (t *Tree) execStep(st *planStep) {
 func (t *Tree) planInvalidate() {
 	t.sync()
 	t.plan = nil
+	t.rearm = nil
 	t.rec = nil
 	t.adopt = false
 	t.pos, t.applied = 0, 0

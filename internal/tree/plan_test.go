@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -513,5 +514,274 @@ func TestPlanCacheEvictionBounded(t *testing.T) {
 	}
 	if got := cache.Size(); got > planCacheCap {
 		t.Fatalf("cache grew to %d entries, cap %d", got, planCacheCap)
+	}
+}
+
+// divergeAt returns ops with the operation at step s replaced by a
+// fresh draw: usually a gather from a random leaf (the shape of
+// SORT-OTN step 5, whose source leaf depends on the data), otherwise
+// an operation of any kind.
+func divergeAt(rng *rand.Rand, k int, ops []planOpRec, s int) []planOpRec {
+	run := append([]planOpRec(nil), ops...)
+	if rng.Intn(3) > 0 {
+		run[s] = planOpRec{kind: 5, a: rng.Intn(k), rel: ops[s].rel}
+	} else {
+		run[s] = randStream(rng, k, 1)[0]
+	}
+	return run
+}
+
+// runBoth runs one Reset-separated stream on the compiled tree and on
+// the pinned interpreter and fails on the first differing output.
+func runBoth(t *testing.T, ctx string, compiled, interp *Tree, run []planOpRec) {
+	t.Helper()
+	compiled.Reset()
+	interp.Reset()
+	for i, o := range run {
+		if sc, si := applyPlanOp(compiled, o), applyPlanOp(interp, o); sc != si {
+			t.Fatalf("%s op %d (%+v): compiled %x interp %x", ctx, i, o, sc, si)
+		}
+	}
+}
+
+// checkDivergingRuns records ops, then runs many streams that share
+// its prefix and diverge at the steps of at — the first rounds only
+// at at[0], the rest at a random one of them — comparing every
+// output and the synchronized state with the interpreter. The
+// diverging rounds must neither re-adopt through the cache nor lose
+// the plan: the tree re-arms the plan it diverged from, which holds
+// a checkpoint once any run has diverged.
+func checkDivergingRuns(t *testing.T, ctx string, rng *rand.Rand, k int, compiled, interp *Tree, cache *PlanCache, ops []planOpRec, at []int) {
+	t.Helper()
+	runBoth(t, ctx+" record", compiled, interp, ops)
+	runBoth(t, ctx+" replay", compiled, interp, ops)
+	before := cache.Stats()
+	for round := 0; round < 40; round++ {
+		s := at[0]
+		if round >= 10 {
+			s = at[rng.Intn(len(at))]
+		}
+		runBoth(t, fmt.Sprintf("%s round %d (diverge at %d)", ctx, round, s), compiled, interp, divergeAt(rng, k, ops, s))
+		diffStates(t, ctx, compiled, interp)
+	}
+	if after := cache.Stats(); after != before {
+		t.Fatalf("%s: diverging runs went back to the plan cache: %+v then %+v", ctx, before, after)
+	}
+	compiled.Reset()
+	p := compiled.plan
+	if p == nil {
+		t.Fatalf("%s: Reset did not re-arm the plan", ctx)
+	}
+	if c := p.ckpt.Load(); c == nil || c.pos != at[0] {
+		t.Fatalf("%s: checkpoint %+v, want one at step %d", ctx, c, at[0])
+	}
+}
+
+// TestPlanCheckpointDivergence replays many runs that share a prefix
+// and diverge at one step with a varying operation, and later also at
+// a second step before or after it, against the pinned interpreter.
+func TestPlanCheckpointDivergence(t *testing.T) {
+	for _, k := range []int{8, 64} {
+		for _, at := range [][]int{{14, 5}, {5, 14}} {
+			rng := rand.New(rand.NewSource(int64(k*100 + at[0])))
+			cache := NewPlanCache()
+			compiled := newPlanTree(t, k, cache)
+			interp := newPlanTree(t, k, nil)
+			interp.SetCompile(false)
+			ops := randStream(rng, k, 24)
+			checkDivergingRuns(t, fmt.Sprintf("k=%d at %v", k, at), rng, k, compiled, interp, cache, ops, at)
+		}
+	}
+}
+
+// TestPlanCheckpointDivergenceDegraded is the same under a dead-edge
+// view: replayed reduces charge the ascent counter at match time, and
+// the checkpoint copy must leave it equal to the interpreter's.
+func TestPlanCheckpointDivergenceDegraded(t *testing.T) {
+	k := 16
+	view := func() *fault.TreeFaults {
+		return fault.New(9).KillEdge(true, 0, 5).KillEdge(true, 0, 19).KillIP(true, 0, 6).
+			ForTree(true, 0, k, nil)
+	}
+	for _, at := range [][]int{{14, 5}, {5, 14}} {
+		rng := rand.New(rand.NewSource(int64(at[0])))
+		cache := NewPlanCache()
+		compiled := newPlanTree(t, k, cache)
+		interp := newPlanTree(t, k, nil)
+		interp.SetCompile(false)
+		compiled.SetFaults(view())
+		interp.SetFaults(view())
+		ops := randStream(rng, k, 24)
+		ops[2] = planOpRec{kind: 1, rel: 3} // a reduce in the prefix
+		checkDivergingRuns(t, fmt.Sprintf("degraded at %v", at), rng, k, compiled, interp, cache, ops, at)
+		if compiled.ascents == 0 {
+			t.Fatal("no ascent charged; the degraded check is vacuous")
+		}
+	}
+}
+
+// TestPlanRestoreOnRearmedPlan rolls back to snapshots taken on a
+// re-armed plan, before and after the run diverges from it; the
+// rollback resumes replay of that plan and matches the interpreter.
+func TestPlanRestoreOnRearmedPlan(t *testing.T) {
+	k := 16
+	rng := rand.New(rand.NewSource(3))
+	cache := NewPlanCache()
+	compiled := newPlanTree(t, k, cache)
+	interp := newPlanTree(t, k, nil)
+	interp.SetCompile(false)
+	ops := randStream(rng, k, 20)
+	const s, snapAt = 12, 6
+	runBoth(t, "record", compiled, interp, ops)
+	runBoth(t, "diverge", compiled, interp, divergeAt(rng, k, ops, s))
+	for round := 0; round < 6; round++ {
+		run := divergeAt(rng, k, ops, s)
+		compiled.Reset()
+		interp.Reset()
+		var snapC, snapI *State
+		for i := 0; i < len(run); i++ {
+			if i == snapAt {
+				snapC, snapI = compiled.Snapshot(), interp.Snapshot()
+				if snapC.plan == nil {
+					t.Fatalf("round %d: snapshot taken off the re-armed plan", round)
+				}
+			}
+			if sc, si := applyPlanOp(compiled, run[i]), applyPlanOp(interp, run[i]); sc != si {
+				t.Fatalf("round %d op %d: compiled %x interp %x", round, i, sc, si)
+			}
+		}
+		compiled.Restore(snapC)
+		interp.Restore(snapI)
+		if !compiled.HasRoutePlan() {
+			t.Fatalf("round %d: rollback to a re-armed plan's snapshot did not resume it", round)
+		}
+		run = divergeAt(rng, k, ops, s)
+		for i := snapAt; i < len(run); i++ {
+			if sc, si := applyPlanOp(compiled, run[i]), applyPlanOp(interp, run[i]); sc != si {
+				t.Fatalf("round %d after rollback op %d: compiled %x interp %x", round, i, sc, si)
+			}
+		}
+		diffStates(t, "rollback", compiled, interp)
+	}
+}
+
+// TestPlanSetFaultsDropsRearm pins that a fault-view change between
+// runs drops the plan a tree diverged from: the next Reset must not
+// re-arm a schedule recorded under the old view.
+func TestPlanSetFaultsDropsRearm(t *testing.T) {
+	k := 16
+	rng := rand.New(rand.NewSource(8))
+	cache := NewPlanCache()
+	compiled := newPlanTree(t, k, cache)
+	interp := newPlanTree(t, k, nil)
+	interp.SetCompile(false)
+	ops := randStream(rng, k, 16)
+	runBoth(t, "record", compiled, interp, ops)
+	runBoth(t, "diverge", compiled, interp, divergeAt(rng, k, ops, 9))
+	if compiled.rearm == nil && compiled.plan == nil {
+		t.Fatal("the diverged run kept no plan to re-arm")
+	}
+	view := fault.New(4).KillEdge(true, 0, 7).ForTree(true, 0, k, nil)
+	compiled.SetFaults(view)
+	interp.SetFaults(fault.New(4).KillEdge(true, 0, 7).ForTree(true, 0, k, nil))
+	compiled.Reset()
+	if compiled.HasRoutePlan() {
+		t.Fatal("Reset re-armed a plan recorded under the old fault view")
+	}
+	for round := 0; round < 4; round++ {
+		runBoth(t, fmt.Sprintf("new view round %d", round), compiled, interp, divergeAt(rng, k, ops, 9))
+		diffStates(t, "new view", compiled, interp)
+	}
+	compiled.SetFaults(nil)
+	interp.SetFaults(nil)
+	compiled.Reset()
+	if compiled.HasRoutePlan() {
+		t.Fatal("Reset re-armed a plan recorded under the dead-edge view")
+	}
+	runBoth(t, "healthy again", compiled, interp, divergeAt(rng, k, ops, 9))
+	diffStates(t, "healthy again", compiled, interp)
+}
+
+// TestPlanAlternatingStreamsStayCompiled runs two streams with
+// different first steps on one tree in turn: a mismatch at step 0 of
+// the held plan adopts or records the other stream's plan, so after
+// warm-up every run replays whole instead of being interpreted.
+func TestPlanAlternatingStreamsStayCompiled(t *testing.T) {
+	k := 16
+	rng := rand.New(rand.NewSource(12))
+	cache := NewPlanCache()
+	compiled := newPlanTree(t, k, cache)
+	interp := newPlanTree(t, k, nil)
+	interp.SetCompile(false)
+	a := randStream(rng, k, 12)
+	b := randStream(rng, k, 9)
+	a[0] = planOpRec{kind: 0, rel: 1}
+	b[0] = planOpRec{kind: 1, rel: 2}
+	for round := 0; round < 12; round++ {
+		run := a
+		if round%2 == 1 {
+			run = b
+		}
+		runBoth(t, fmt.Sprintf("round %d", round), compiled, interp, run)
+		if round >= 4 && (compiled.plan == nil || compiled.pos != len(compiled.plan.steps) || compiled.rec != nil) {
+			t.Fatalf("round %d: the run was not replayed whole (plan %v, pos %d)", round, compiled.plan != nil, compiled.pos)
+		}
+		diffStates(t, "alternating", compiled, interp)
+	}
+}
+
+// TestPlanCheckpointConcurrentDivergence has trees on many goroutines
+// adopt one published plan and diverge from it at once, so the
+// checkpoint is published and read concurrently; every tree must
+// still match its own interpreter. Run with -race this pins the
+// checkpoint's publish-once discipline.
+func TestPlanCheckpointConcurrentDivergence(t *testing.T) {
+	k := 16
+	cache := NewPlanCache()
+	ops := randStream(rand.New(rand.NewSource(21)), k, 20)
+	const s = 11
+	rec := newPlanTree(t, k, cache)
+	for i := 0; i < 2; i++ {
+		rec.Reset()
+		for _, o := range ops {
+			applyPlanOp(rec, o)
+		}
+	}
+	p := rec.plan
+	if p == nil || p.ckpt.Load() != nil {
+		t.Fatal("the recorded plan is missing or already checkpointed")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			compiled := newPlanTree(t, k, cache)
+			interp := newPlanTree(t, k, nil)
+			interp.SetCompile(false)
+			for round := 0; round < 20; round++ {
+				run := divergeAt(rng, k, ops, s)
+				compiled.Reset()
+				interp.Reset()
+				for i, o := range run {
+					if sc, si := applyPlanOp(compiled, o), applyPlanOp(interp, o); sc != si {
+						t.Errorf("goroutine %d round %d op %d: compiled %x interp %x", g, round, i, sc, si)
+						return
+					}
+				}
+				sa, sb := compiled.Snapshot(), interp.Snapshot()
+				for v := range sa.upFree {
+					if sa.upFree[v] != sb.upFree[v] || sa.downFree[v] != sb.downFree[v] {
+						t.Errorf("goroutine %d round %d: occupancy differs at node %d", g, round, v)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c := p.ckpt.Load(); c == nil || c.pos != s {
+		t.Fatalf("checkpoint %+v, want one at step %d", c, s)
 	}
 }

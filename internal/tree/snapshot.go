@@ -17,10 +17,11 @@ import "repro/internal/vlsi"
 //
 // A State also remembers the compiled route plan (by identity) and
 // the replay cursor at capture time. A rollback resumes replay only
-// when the tree still holds that exact plan; if anything evicted it
-// in between — a MergeFaults above all, which changes the fault view
-// — the restore drops to pure interpretation, so a discarded attempt
-// can never be replayed against a stale schedule.
+// when the tree still holds that exact plan, as its live plan or as
+// the one its run diverged from; if anything evicted it in between —
+// a MergeFaults above all, which changes the fault view — the restore
+// drops to pure interpretation, so a discarded attempt can never be
+// replayed against a stale schedule.
 type State struct {
 	upFree, downFree []vlsi.Time
 	ascents          uint64
@@ -80,7 +81,8 @@ func (t *Tree) Restore(s *State) {
 	t.occDirty = false
 	t.rec = nil
 	t.adopt = false
-	if s.plan != nil && s.plan == t.plan {
+	if s.plan != nil && (s.plan == t.plan || s.plan == t.rearm) {
+		t.plan, t.rearm = s.plan, nil
 		t.pos, t.applied = s.pos, s.pos
 		return
 	}

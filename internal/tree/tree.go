@@ -75,8 +75,11 @@ type Tree struct {
 	pos, applied int
 	occDirty     bool
 	rec          *planRecorder
-	adopt        bool // first op after Reset adopts or starts recording
-	inOp         bool // inside an interpretation (suppress nesting)
+	// rearm is the plan the current run diverged from; the next Reset
+	// re-arms it.
+	rearm *RoutePlan
+	adopt bool // first op after Reset adopts or starts recording
+	inOp  bool // inside an interpretation (suppress nesting)
 
 	// scratch holds the per-operation work buffers, sized once in
 	// build and reused on every call so the steady-state router
@@ -163,14 +166,18 @@ const Root = 1
 // pipeline.)
 //
 // Reset is also the plan boundary: an in-flight recording freezes
-// into the tree's RoutePlan here, and a tree holding a plan re-arms
-// replay in O(1) — the arrays are zeroed lazily, only if the coming
-// run diverges from the plan (see plan.go).
+// into the tree's RoutePlan here, and a tree holding a plan — or one
+// whose last run diverged from it — re-arms replay in O(1): the
+// arrays are brought up to date lazily, only if the coming run
+// diverges from the plan (see plan.go).
 func (t *Tree) Reset() {
 	if t.rec != nil {
 		t.freezePlan()
 	}
 	t.pos, t.applied = 0, 0
+	if t.plan == nil {
+		t.plan, t.rearm = t.rearm, nil
+	}
 	if t.plan != nil {
 		t.occDirty = true
 		t.adopt = false
