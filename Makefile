@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench benchcmp benchsmoke benchpacked benchincremental servesmoke servesweep chaossmoke cachesmoke benchmod ci
+.PHONY: build test vet race fuzz bench benchcmp benchsmoke servesmoke chaossmoke cachesmoke benchmod ci
 
 build:
 	$(GO) build ./...
@@ -59,38 +59,26 @@ fuzz:
 bench:
 	$(GO) run ./cmd/otbench -json BENCH.json
 
-# Re-run the suite and diff against the committed baseline: simulated
-# metrics gate exactly, allocs/op gates with slack, ns/op informs.
+# Re-run the suite and diff against the committed baseline. Every
+# host gate lives here: simulated metrics gate exactly, allocs/op and
+# bytes/op with slack, peak RSS at 2x, and two host-ratio floors on
+# the current run (packed components >=4x faster than the scalar
+# program at N=256; a single-flip incremental batch >=10x cheaper
+# than a full recompute at N=1024). Per-entry ns/op informs.
 benchcmp:
 	$(GO) run ./cmd/otbench -compare BENCH.json
 
 # One-iteration pass over every benchmark: compile + run smoke, no
 # timing fidelity intended. The Table1SortOTN pass runs twice so the
 # second iteration exercises plan adoption and replay from the shared
-# route-plan cache, and one recovery-sweep point smokes the
-# checkpoint/rollback supervisor end to end through the CLI.
+# route-plan cache, one recovery-sweep point smokes the
+# checkpoint/rollback supervisor end to end through the CLI, and the
+# packed and incremental studies run at small sizes.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'Table1SortOTN' -benchtime 2x .
 	$(GO) run ./cmd/otsim -alg sort -n 16 -schedule 2 -json > /dev/null
-	$(GO) run ./cmd/otbench -packed -sizes 16,1024 > /dev/null
-	$(GO) run ./cmd/otbench -incremental -sizes 256 > /dev/null
-
-# Packed-engine scaling table: connected components on the bit-packed
-# Boolean engine and the mesh baseline, N=16 → 1024 — the extended
-# Table III A·T² curves from EXPERIMENTS.md. Budget: the whole sweep
-# (engine builds included) completes in well under a minute on a
-# laptop; the N=1024 components cell itself simulates in ~2 ms.
-benchpacked:
-	$(GO) run ./cmd/otbench -packed
-
-# Incremental streaming-labeling study: the simulated-cost sweep
-# (labels checked bit-identical to a full recompute after every batch)
-# plus the incremental-vs-recompute host-cost table; fails unless a
-# single-flip batch at the largest size is ≥10× cheaper than a full
-# recompute.
-benchincremental:
-	$(GO) run ./cmd/otbench -incremental
+	$(GO) run ./cmd/otbench -table packed,incremental -sizes 16,256,1024 > /dev/null
 
 # End-to-end service smoke: build otserve under the race detector,
 # drive it past capacity with otload (flooding client included), then
@@ -98,16 +86,6 @@ benchincremental:
 # check. See scripts/servesmoke.sh.
 servesmoke:
 	./scripts/servesmoke.sh
-
-# Service degradation table: an in-process otserve at three offered
-# loads; p99 must stay bounded and errors zero while shed % absorbs
-# the overload. The compute-once section then drives a zipf-popular
-# workload at identical servers with the result cache on and off, and
-# fails unless the cache buys ≥5× completed throughput at a ≥80% hit
-# rate with lower p99 and byte-identical answers; its snapshot is the
-# committed BENCH_PR10.json.
-servesweep:
-	$(GO) run ./cmd/otbench -servesweep -cachejson BENCH_PR10.json
 
 # Kill-and-recover chaos proof: SIGKILL a race-built journaling
 # otserve at seed-derived points mid-session-stream, restart it on the
@@ -119,11 +97,16 @@ servesweep:
 chaossmoke:
 	./scripts/chaossmoke.sh
 
-# Compute-once smoke: a race-built otserve driven with a zipf-popular
-# otload workload must serve most answers from the result cache, a
-# warm repeat of a spec must answer byte-identically (modulo job id
-# and the cached mark) to its first execution, and the drain must
-# still leak zero goroutines. See scripts/cachesmoke.sh.
+# Compute-once smoke: two race-built otserves, result cache on and
+# off. A warm repeat of a spec must answer byte-identically (modulo
+# job id and the cached mark) to its first execution and to the
+# cache-off server's. The same zipf-popular otload workload, offered
+# past the cache-off server's capacity, then runs against both: the
+# cache-on side must complete >=5x the jobs/s at a lower p99 with
+# hits + coalesced >=80% of its answers, the cache-off side must shed
+# (so the comparison is made under overload), and neither may see a
+# 5xx, 400 or transport error. Both drains must leak zero goroutines.
+# See scripts/cachesmoke.sh.
 cachesmoke:
 	./scripts/cachesmoke.sh
 
@@ -135,14 +118,10 @@ cachesmoke:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The full gate. benchpacked adds ~1s: the packed N=1024 components
-# cell simulates in ~2ms and the whole extended Table III sweep,
-# engine builds included, is sub-second. benchincremental adds a few
-# seconds more: the host-cost entries re-measure under
-# testing.Benchmark at both sizes. chaossmoke adds ~15s: four
-# SIGKILL/recover cycles against the race-built server.
-# cachesmoke adds a few seconds: one more race-built otserve cycle
-# under a zipf workload with a byte-identity check on a cached answer.
-# benchcmp (about 35s) gates every simulated metric exactly against
-# BENCH.json, allocs/op and bytes/op with slack, and peak RSS.
-ci: build vet test benchmod race benchsmoke benchcmp benchpacked benchincremental servesmoke cachesmoke chaossmoke
+# The full gate. chaossmoke adds ~15s: four SIGKILL/recover cycles
+# against the race-built server. cachesmoke adds about 10s: two
+# race-built otserve cycles under the same zipf workload. benchcmp
+# (about 35s) gates every simulated metric exactly against BENCH.json,
+# allocs/op and bytes/op with slack, peak RSS, and both host-ratio
+# floors.
+ci: build vet test benchmod race benchsmoke benchcmp servesmoke cachesmoke chaossmoke

@@ -1,18 +1,17 @@
 package main
 
-// The incremental-labeling benchmark entries and the -incremental mode.
+// The incremental-labeling benchmark entries.
 //
-// The suite entries pin the streamed-labeling tentpole in the
-// regression baseline: IncrementalComponents/n=N/b=B applies one
-// B-pixel-flip batch to a maintained labeling, RecomputeComponents/n=N
-// labels the same grid graph from scratch on the packed engine. Their
-// simulated bit-times are exact model outputs and gate in -compare
-// like every other entry; the ns/op ratio between them is the
-// perf headline -incremental prints and checks (see incrementalMode).
+// The suite entries pin streamed labeling in the regression baseline:
+// IncrementalComponents/n=N/b=B applies one B-pixel-flip batch to a
+// maintained labeling, RecomputeComponents/n=N labels the same grid
+// graph from scratch on the packed engine. Their simulated bit-times
+// are exact model outputs and gate in -compare like every other
+// entry; the ns/op ratio between them at N=1024, B=1 is one of
+// -compare's hostFloors.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	orthotrees "repro"
@@ -20,9 +19,9 @@ import (
 	"repro/internal/workload"
 )
 
-// incrementalSizes and incrementalBatches are the suite axes: grid
-// vertex counts (perfect squares, legal packed sizes) × pixel flips
-// per batch.
+// incrementalSizes and incrementalBatches are the suite axes, and the
+// incremental artefact's default sweep: grid vertex counts (perfect
+// squares, legal packed sizes) × pixel flips per batch.
 var (
 	incrementalSizes   = []int{256, 1024}
 	incrementalBatches = []int{1, 16, 256}
@@ -95,8 +94,8 @@ func hasOnNeighbour(im *workload.Image, p int) bool {
 // incrementalBench measures one streamed batch against a maintained
 // labeling. One op is a forward batch plus its inverse (state must be
 // restored for the next iteration), so the per-batch host cost is
-// NsPerOp/2 — incrementalMode and the Makefile headline divide
-// accordingly. The recorded bit-times are the forward batch's alone.
+// NsPerOp/2, which the hostFloors row accounts for. The recorded
+// bit-times are the forward batch's alone.
 func incrementalBench(n, bsz int) func(b *testing.B, sim simMap) {
 	return func(b *testing.B, sim simMap) {
 		eng, err := packed.EngineFor(n, orthotrees.DefaultConfig(n*n), false)
@@ -132,58 +131,4 @@ func recomputeGridBench(n int) func(b *testing.B, sim simMap) {
 		sim["components/bit-times"] = float64(done)
 		sim["components/area"] = float64(eng.Area())
 	}
-}
-
-// incrementalMode is -incremental: the simulated-cost study (labels
-// checked bit-identical to a full recompute after every batch), then
-// the host-cost table, then the headline gate — at the largest swept
-// size, a single-pixel incremental batch must be at least 10x cheaper
-// in host time than a full recompute. Returns false when the gate
-// fails.
-func incrementalMode(sizes, format string) bool {
-	ns := incrementalSizes
-	if sizes != "" {
-		ns = parseSizes(sizes)
-	}
-	s, err := orthotrees.IncrementalStudy(ns, incrementalBatches, 8, 1983)
-	if err != nil {
-		fatalf("incremental study: %v", err)
-	}
-	if format == "markdown" {
-		fmt.Println(s.Markdown())
-	} else {
-		fmt.Println(s.Render())
-	}
-
-	fmt.Printf("%-10s %7s %16s %18s %10s\n",
-		"N", "batch", "recompute ns", "incremental ns", "ratio")
-	type cell struct{ n, bsz int }
-	ratios := map[cell]float64{}
-	for _, n := range ns {
-		rec := measure(fmt.Sprintf("RecomputeComponents/n=%d", n), recomputeGridBench(n))
-		for _, bsz := range incrementalBatches {
-			inc := measure(fmt.Sprintf("IncrementalComponents/n=%d/b=%d", n, bsz), incrementalBench(n, bsz))
-			perBatch := inc.NsPerOp / 2 // one op = forward batch + inverse
-			ratio := 0.0
-			if perBatch > 0 {
-				ratio = float64(rec.NsPerOp) / float64(perBatch)
-			}
-			ratios[cell{n, bsz}] = ratio
-			fmt.Printf("%-10d %7d %16d %18d %9.1fx\n", n, bsz, rec.NsPerOp, perBatch, ratio)
-		}
-	}
-
-	big := ns[0]
-	for _, n := range ns {
-		if n > big {
-			big = n
-		}
-	}
-	got := ratios[cell{big, 1}]
-	if got < 10 {
-		fmt.Fprintf(os.Stderr, "incremental: FAILED — single-flip batch at N=%d only %.1fx cheaper than recompute (want >= 10x)\n", big, got)
-		return false
-	}
-	fmt.Printf("\nincremental: single-flip batch at N=%d is %.1fx cheaper than a full recompute (gate: >= 10x)\n", big, got)
-	return true
 }

@@ -1,7 +1,8 @@
 // Command otbench regenerates the evaluation of Nath, Maheshwari and
 // Bhatt's orthogonal-trees paper: Tables I–IV, the MST prose claims,
 // the layout-area comparison behind Figs. 1–3, and the Section VIII
-// pipelining measurement. Each artefact prints the measured
+// pipelining measurement, plus the robustness, packed-engine and
+// incremental-labeling studies. Each artefact prints the measured
 // (simulated) area, time and A·T² next to the paper's asymptotic
 // claims, plus log-log growth fits across the sweep.
 //
@@ -13,29 +14,35 @@
 // simulated quantities must match EXACTLY (they are outputs of the
 // paper's model, not of the host), allocs/op and bytes/op may not
 // regress beyond a small tolerance, whole-run peak RSS may not more
-// than double, and ns/op is reported but never gates (it depends
-// on the host).
+// than double, each host-ratio floor (packed vs scalar components,
+// incremental batch vs recompute) must hold, and per-entry ns/op is
+// reported but gates only under -hosttol.
 //
 // Usage:
 //
-//	otbench                   # everything, default sweep sizes
-//	otbench -table 3          # just Table III
-//	otbench -sizes 16,64,256  # override the sweep
-//	otbench -faultsweep       # robustness: slowdown vs injected faults
-//	otbench -recoverysweep    # robustness: mid-run arrivals + checkpoint/rollback costs
-//	otbench -json BENCH.json  # run the bench suite, write the baseline
-//	otbench -compare BENCH.json          # re-run, diff against baseline
+//	otbench                        # every artefact, default sweep sizes
+//	otbench -table 3               # just Table III
+//	otbench -table 1,3,mst,faults  # a comma list of artefacts
+//	otbench -table 3 -sizes 16,64  # override the sweep
+//	otbench -table packed          # Table III on the packed engine, out to N=1024
+//	otbench -table incremental     # streamed labeling: incremental vs full recompute
+//	otbench -table recovery        # mid-run arrivals + checkpoint/rollback costs
+//	otbench -json BENCH.json       # run the bench suite, write the baseline
+//	otbench -compare BENCH.json    # re-run, diff against baseline
 //	otbench -json new.json -compare BENCH.json
-//	otbench -packed           # packed-engine scaling: Table III out to N=1024
-//	otbench -incremental      # streamed labeling: incremental vs full recompute
 //	otbench -compare BENCH.json -hosttol 30   # also gate ns/op regressions >30%
 //	otbench -cpuprofile cpu.pprof -json /dev/null
+//
+// The artefact names are 1, 2, 3, 4, mst, figs, mot3d, faults,
+// recovery, pipeline, packed and incremental; "all" (the default)
+// runs them in that order.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -51,26 +58,22 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "table to regenerate (1-4); 0 = all artefacts")
-	sizes := flag.String("sizes", "", "comma-separated problem sizes (defaults per table)")
-	mst := flag.Bool("mst", false, "also run the MST study (implied by -table 0)")
-	figs := flag.Bool("figs", false, "also run the Figs. 1-3 area sweep (implied by -table 0)")
-	pipeline := flag.Bool("pipeline", false, "also run the §VIII pipelining study (implied by -table 0)")
-	mot3d := flag.Bool("mot3d", false, "also run the §VII-B 3D mesh-of-trees comparison")
-	faultsweep := flag.Bool("faultsweep", false, "also run the fault sweep (implied by -table 0)")
-	recoverysweep := flag.Bool("recoverysweep", false, "also run the mid-run-arrival recovery sweep (implied by -table 0)")
+	table := flag.String("table", "all", "comma-separated artefacts to regenerate (1,2,3,4,mst,figs,mot3d,faults,recovery,pipeline,packed,incremental) or all")
+	sizes := flag.String("sizes", "", "comma-separated problem sizes (defaults per artefact)")
 	format := flag.String("format", "text", "output format: text | markdown")
 	jsonOut := flag.String("json", "", "run the benchmark suite and write results to this file")
 	compare := flag.String("compare", "", "run the benchmark suite and diff against this baseline file")
-	packedSweep := flag.Bool("packed", false, "run the packed-engine scaling study (Table III extended to N=1024) and print the table")
-	incremental := flag.Bool("incremental", false, "run the incremental streaming-labeling study and the incremental-vs-recompute host-cost table")
-	servesweep := flag.Bool("servesweep", false, "drive an in-process otserve at three offered-load levels and print the degradation table, then the compute-once (result cache on vs off) zipf sweep")
-	cachejson := flag.String("cachejson", "", "servesweep: also write the compute-once sweep snapshot to this file (e.g. BENCH_PR10.json)")
 	hosttol := flag.Float64("hosttol", 0, "percentage tolerance on ns/op regressions in -compare; 0 keeps host times info-only")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
-	hostTolPct = *hosttol
+
+	sel, err := parseTable(*table)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "otbench: %v\n", err)
+		os.Exit(2)
+	}
+	ns := parseSizes(*sizes)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -84,16 +87,10 @@ func main() {
 	}
 
 	ok := true
-	if *servesweep {
-		ok = servesweepMode(*cachejson)
-	} else if *packedSweep {
-		packedMode(*sizes, *format)
-	} else if *incremental {
-		ok = incrementalMode(*sizes, *format)
-	} else if *jsonOut != "" || *compare != "" {
-		ok = benchMode(*jsonOut, *compare)
+	if *jsonOut != "" || *compare != "" {
+		ok = benchMode(*jsonOut, *compare, *hosttol)
 	} else {
-		runTables(*table, *sizes, *mst, *figs, *pipeline, *mot3d, *faultsweep, *recoverysweep, *format)
+		runTables(sel, ns, *format == "markdown")
 	}
 
 	if *memprofile != "" {
@@ -117,100 +114,110 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// --- table regeneration (the original otbench) ----------------------
+// --- artefact regeneration ------------------------------------------
 
-func runTables(table int, sizes string, mst, figs, pipeline, mot3d, faultsweep, recoverysweep bool, format string) {
-	all := table == 0
-	run := func(name string, def []int, f func([]int) (*orthotrees.Experiment, error)) {
-		ns := def
-		if sizes != "" {
-			ns = parseSizes(sizes)
-		}
-		e, err := f(ns)
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		if format == "markdown" {
-			fmt.Println(e.Markdown())
-		} else {
-			fmt.Println(e.Render())
-		}
-	}
+// rendering is what every study returns: a plain-text table and its
+// markdown form.
+type rendering interface {
+	Render() string
+	Markdown() string
+}
 
-	if all || table == 1 {
-		run("Table I", []int{16, 64, 256}, orthotrees.Table1)
-	}
-	if all || table == 2 {
-		run("Table II", []int{4, 8, 16}, orthotrees.Table2)
-	}
-	if all || table == 3 {
-		run("Table III", []int{16, 32, 64, 128}, orthotrees.Table3)
-	}
-	if all || table == 4 {
-		run("Table IV", []int{16, 64, 256}, orthotrees.Table4)
-	}
-	if all || mst {
-		run("MST", []int{8, 16, 32, 64}, orthotrees.MSTStudy)
-	}
-	if all || figs {
-		run("Figs. 1-3", []int{16, 64, 256, 1024}, orthotrees.FigureAreas)
-	}
-	if all || mot3d {
-		run("3D mesh of trees", []int{4, 8, 16}, orthotrees.MatMul3DStudy)
-	}
-	if all || faultsweep {
-		s, err := orthotrees.FaultSweepStudy(32, 4, 1983)
-		if err != nil {
-			fatalf("fault sweep: %v", err)
-		}
-		if format == "markdown" {
-			fmt.Println(s.Markdown())
-		} else {
-			fmt.Println(s.Render())
-		}
-	}
-	if all || recoverysweep {
-		s, err := orthotrees.RecoverySweepStudy(16, 3, 1983)
-		if err != nil {
-			fatalf("recovery sweep: %v", err)
-		}
-		if format == "markdown" {
-			fmt.Println(s.Markdown())
-		} else {
-			fmt.Println(s.Render())
-		}
-	}
-	if all || pipeline {
+// artefact is one output -table can name: its default sweep (nil for
+// the studies that take no sizes) and the study that produces it.
+type artefact struct {
+	name  string
+	sizes []int
+	run   func(ns []int) (rendering, error)
+}
+
+// artefacts lists every output in the order "all" prints them.
+var artefacts = []artefact{
+	{"1", []int{16, 64, 256}, sweep(orthotrees.Table1)},
+	{"2", []int{4, 8, 16}, sweep(orthotrees.Table2)},
+	{"3", []int{16, 32, 64, 128}, sweep(orthotrees.Table3)},
+	{"4", []int{16, 64, 256}, sweep(orthotrees.Table4)},
+	{"mst", []int{8, 16, 32, 64}, sweep(orthotrees.MSTStudy)},
+	{"figs", []int{16, 64, 256, 1024}, sweep(orthotrees.FigureAreas)},
+	{"mot3d", []int{4, 8, 16}, sweep(orthotrees.MatMul3DStudy)},
+	{"faults", nil, func([]int) (rendering, error) { return orthotrees.FaultSweepStudy(32, 4, 1983) }},
+	{"recovery", nil, func([]int) (rendering, error) { return orthotrees.RecoverySweepStudy(16, 3, 1983) }},
+	{"pipeline", nil, func([]int) (rendering, error) {
 		latency, steady, err := orthotrees.PipelineStudy(64, 16)
-		if err != nil {
-			fatalf("pipeline: %v", err)
+		return text(fmt.Sprintf("§VIII pipelining (N=64, 16 batches): single-problem latency %d bit-times, steady-state output interval %d bit-times (%.1fx speedup)\n",
+			latency, steady, float64(latency)/float64(steady))), err
+	}},
+	// Table III extended on the bit-packed Boolean engine, at sizes
+	// the scalar machine cannot reach.
+	{"packed", []int{16, 32, 64, 128, 256, 512, 1024}, sweep(orthotrees.PackedStudy)},
+	// Streamed labeling, labels checked bit-identical to a full
+	// recompute after every batch. Sizes must be perfect squares.
+	{"incremental", incrementalSizes, func(ns []int) (rendering, error) {
+		return orthotrees.IncrementalStudy(ns, incrementalBatches, 8, 1983)
+	}},
+}
+
+func sweep(f func([]int) (*orthotrees.Experiment, error)) func([]int) (rendering, error) {
+	return func(ns []int) (rendering, error) { return f(ns) }
+}
+
+// text is a one-line artefact, the same in both formats.
+type text string
+
+func (t text) Render() string   { return string(t) }
+func (t text) Markdown() string { return string(t) }
+
+// parseTable resolves a -table value to the artefacts it names, in
+// the order "all" prints them.
+func parseTable(s string) ([]artefact, error) {
+	if s == "all" {
+		return artefacts, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(s, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	var sel []artefact
+	var names []string
+	for _, a := range artefacts {
+		if want[a.name] {
+			sel = append(sel, a)
+			delete(want, a.name)
 		}
-		fmt.Printf("§VIII pipelining (N=64, 16 batches): single-problem latency %d bit-times, steady-state output interval %d bit-times (%.1fx speedup)\n\n",
-			latency, steady, float64(latency)/float64(steady))
+		names = append(names, a.name)
+	}
+	for name := range want {
+		return nil, fmt.Errorf("unknown artefact %q in -table (want all or a comma list of %s)",
+			name, strings.Join(names, ","))
+	}
+	return sel, nil
+}
+
+// runTables prints each selected artefact, over ns when -sizes set it
+// and over the artefact's own sweep otherwise.
+func runTables(sel []artefact, ns []int, markdown bool) {
+	for _, a := range sel {
+		sizes := a.sizes
+		if ns != nil {
+			sizes = ns
+		}
+		r, err := a.run(sizes)
+		if err != nil {
+			fatalf("-table %s: %v", a.name, err)
+		}
+		if markdown {
+			fmt.Println(r.Markdown())
+		} else {
+			fmt.Println(r.Render())
+		}
 	}
 }
 
-// packedMode is -packed: the extended Table III sweep on the
-// bit-packed Boolean engine, at sizes the scalar machine cannot
-// reach. The full default sweep — engine builds included — finishes
-// in seconds; see `make benchpacked`.
-func packedMode(sizes, format string) {
-	ns := []int{16, 32, 64, 128, 256, 512, 1024}
-	if sizes != "" {
-		ns = parseSizes(sizes)
-	}
-	e, err := orthotrees.PackedStudy(ns)
-	if err != nil {
-		fatalf("packed study: %v", err)
-	}
-	if format == "markdown" {
-		fmt.Println(e.Markdown())
-	} else {
-		fmt.Println(e.Render())
-	}
-}
-
+// parseSizes parses -sizes, nil when it is empty; a bad size exits 2.
 func parseSizes(s string) []int {
+	if s == "" {
+		return nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -255,12 +262,6 @@ type BenchFile struct {
 	PeakRSSKB  int64         `json:"peak_rss_kb,omitempty"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
-
-// hostTolPct is the -hosttol value: when positive, a ns/op regression
-// beyond this percentage over the baseline fails -compare. At zero
-// (the default) host times stay informational, because they depend on
-// the machine running the comparison.
-var hostTolPct float64
 
 // simMap collects the simulated metrics a benchmark body produces.
 // Bodies overwrite the same keys every b.N loop, so the recorded
@@ -381,8 +382,8 @@ var suite = []suiteDef{
 		// The scalar counterpart of PackedComponents/n=256: the same
 		// graph through the full machine program. Its simulated
 		// metrics must equal the packed entry's exactly (the tentpole
-		// contract); its ns/op is the scalar side of packedSpeedup,
-		// which -compare gates.
+		// contract); its ns/op is the slow side of the ≥4× floor in
+		// hostFloors.
 		m, err := orthotrees.NewOTN(256)
 		if err != nil {
 			b.Fatal(err)
@@ -506,37 +507,52 @@ func runSuite() BenchFile {
 		f.Benchmarks = append(f.Benchmarks, measure(def.name, def.run))
 	}
 	f.PeakRSSKB = peakRSSKB()
-	if sp := packedSpeedup(f); sp > 0 {
-		fmt.Fprintf(os.Stderr, "otbench: packed vs scalar components at N=256: %.1fx host speedup\n", sp)
-	}
 	if f.PeakRSSKB > 0 {
 		fmt.Fprintf(os.Stderr, "otbench: peak RSS %d KiB\n", f.PeakRSSKB)
 	}
 	return f
 }
 
-// minPackedSpeedup is the -compare floor on packedSpeedup: the packed
-// engine must stay at least this many times faster than the scalar
-// machine program on the same instance (DESIGN.md §13).
-const minPackedSpeedup = 4
+// hostFloor is one -compare host-ratio gate: on the current run, the
+// slow entry's ns/op over the fast entry's ns per operation must be
+// at least min. The two entries record equal simulated work, so the
+// ratio is a speedup of one engine over another on the same instance.
+type hostFloor struct {
+	what       string
+	slow, fast string
+	// fastOps is how many of the compared operations one op of the
+	// fast entry performs.
+	fastOps int64
+	min     float64
+}
 
-// packedSpeedup is the packed engine's headline number: the host-time
-// speedup of PackedComponents/n=256 over ScalarComponents/n=256, whose
-// simulated bit-times are equal. It is 0 when either entry is missing.
-func packedSpeedup(f BenchFile) float64 {
-	var sc, pk int64
+var hostFloors = []hostFloor{
+	// The packed engine against the scalar machine program on the
+	// same graph (DESIGN.md §13).
+	{"packed vs scalar components at N=256",
+		"ScalarComponents/n=256", "PackedComponents/n=256", 1, 4},
+	// A single-pixel incremental batch against a full recompute of the
+	// same grid. One IncrementalComponents op is the forward batch
+	// plus its inverse, so two batches.
+	{"single-flip incremental batch vs recompute at N=1024",
+		"RecomputeComponents/n=1024", "IncrementalComponents/n=1024/b=1", 2, 10},
+}
+
+// ratio is h's speedup on f, 0 when either entry is missing.
+func (h hostFloor) ratio(f BenchFile) float64 {
+	var slow, fast int64
 	for _, b := range f.Benchmarks {
 		switch b.Name {
-		case "ScalarComponents/n=256":
-			sc = b.NsPerOp
-		case "PackedComponents/n=256":
-			pk = b.NsPerOp
+		case h.slow:
+			slow = b.NsPerOp
+		case h.fast:
+			fast = b.NsPerOp
 		}
 	}
-	if sc <= 0 || pk <= 0 {
+	if slow <= 0 || fast <= 0 {
 		return 0
 	}
-	return float64(sc) / float64(pk)
+	return float64(slow) * float64(h.fastOps) / float64(fast)
 }
 
 // peakRSSKB reads the process's high-water resident set from
@@ -584,7 +600,7 @@ const (
 // deliberately coarse: only a doubling fails.
 const rssSlackFactor = 2
 
-func benchMode(jsonOut, compare string) bool {
+func benchMode(jsonOut, compare string, hostTol float64) bool {
 	cur := runSuite()
 	if jsonOut != "" {
 		data, err := json.MarshalIndent(cur, "", "  ")
@@ -608,18 +624,18 @@ func benchMode(jsonOut, compare string) bool {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatalf("compare: %s: %v", compare, err)
 	}
-	return diff(base, cur)
+	return diff(base, cur, hostTol, os.Stderr)
 }
 
-// diff reports cur against base. Simulated metrics must match
+// diff reports cur against base on w. Simulated metrics must match
 // exactly; allocs/op and bytes/op may not regress beyond their slack,
 // whole-run peak RSS may not exceed rssSlackFactor times the
-// baseline's, and the current run's packedSpeedup may not fall below
-// minPackedSpeedup; per-entry ns/op is printed as a ratio but fails
-// the comparison only under -hosttol. The suites must
+// baseline's, and the current run must hold every hostFloors ratio;
+// per-entry ns/op is printed as a delta but fails the comparison only
+// when hostTol (the -hosttol percentage) is positive. The suites must
 // also agree as sets: a benchmark present on either side only is a
 // FAIL, so the committed baseline always covers the whole suite.
-func diff(base, cur BenchFile) bool {
+func diff(base, cur BenchFile, hostTol float64, w io.Writer) bool {
 	curByName := map[string]BenchResult{}
 	for _, b := range cur.Benchmarks {
 		curByName[b.Name] = b
@@ -628,7 +644,7 @@ func diff(base, cur BenchFile) bool {
 	for _, old := range base.Benchmarks {
 		now, found := curByName[old.Name]
 		if !found {
-			fmt.Fprintf(os.Stderr, "FAIL %s: benchmark missing from current run\n", old.Name)
+			fmt.Fprintf(w, "FAIL %s: benchmark missing from current run\n", old.Name)
 			ok = false
 			continue
 		}
@@ -644,22 +660,22 @@ func diff(base, cur BenchFile) bool {
 			want := old.Simulated[k]
 			got, has := now.Simulated[k]
 			if !has {
-				fmt.Fprintf(os.Stderr, "FAIL %s: simulated metric %q missing\n", old.Name, k)
+				fmt.Fprintf(w, "FAIL %s: simulated metric %q missing\n", old.Name, k)
 				ok = false
 			} else if got != want {
-				fmt.Fprintf(os.Stderr, "FAIL %s: simulated %q = %v, baseline %v\n", old.Name, k, got, want)
+				fmt.Fprintf(w, "FAIL %s: simulated %q = %v, baseline %v\n", old.Name, k, got, want)
 				ok = false
 			}
 		}
 		limit := int64(float64(old.AllocsPerOp)*allocSlackRatio) + allocSlackAbs
 		if now.AllocsPerOp > limit {
-			fmt.Fprintf(os.Stderr, "FAIL %s: allocs/op %d exceeds baseline %d (limit %d)\n",
+			fmt.Fprintf(w, "FAIL %s: allocs/op %d exceeds baseline %d (limit %d)\n",
 				old.Name, now.AllocsPerOp, old.AllocsPerOp, limit)
 			ok = false
 		}
 		blimit := int64(float64(old.BytesPerOp)*bytesSlackRatio) + bytesSlackAbs
 		if now.BytesPerOp > blimit {
-			fmt.Fprintf(os.Stderr, "FAIL %s: bytes/op %d exceeds baseline %d (limit %d)\n",
+			fmt.Fprintf(w, "FAIL %s: bytes/op %d exceeds baseline %d (limit %d)\n",
 				old.Name, now.BytesPerOp, old.BytesPerOp, blimit)
 			ok = false
 		}
@@ -670,15 +686,15 @@ func diff(base, cur BenchFile) bool {
 		dal := relDelta(now.AllocsPerOp, old.AllocsPerOp)
 		dby := relDelta(now.BytesPerOp, old.BytesPerOp)
 		gate := "info only"
-		if hostTolPct > 0 {
-			gate = fmt.Sprintf("tol %+.1f%%", hostTolPct)
-			if !math.IsNaN(dns) && dns > hostTolPct {
-				fmt.Fprintf(os.Stderr, "FAIL %s: ns/op %d is %+.1f%% vs baseline %d, over -hosttol %.1f%%\n",
-					old.Name, now.NsPerOp, dns, old.NsPerOp, hostTolPct)
+		if hostTol > 0 {
+			gate = fmt.Sprintf("tol %+.1f%%", hostTol)
+			if !math.IsNaN(dns) && dns > hostTol {
+				fmt.Fprintf(w, "FAIL %s: ns/op %d is %+.1f%% vs baseline %d, over -hosttol %.1f%%\n",
+					old.Name, now.NsPerOp, dns, old.NsPerOp, hostTol)
 				ok = false
 			}
 		}
-		fmt.Fprintf(os.Stderr, "ok   %-24s ns/op %s (%s)  allocs/op %s (%d vs %d)  B/op %s\n",
+		fmt.Fprintf(w, "ok   %-24s ns/op %s (%s)  allocs/op %s (%d vs %d)  B/op %s\n",
 			old.Name, fmtDelta(dns), gate, fmtDelta(dal), now.AllocsPerOp, old.AllocsPerOp, fmtDelta(dby))
 	}
 	// A benchmark the baseline has never seen is as much a gap in the
@@ -690,31 +706,31 @@ func diff(base, cur BenchFile) bool {
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		fmt.Fprintf(os.Stderr, "FAIL %s: benchmark missing from baseline (regenerate with -json)\n", name)
+		fmt.Fprintf(w, "FAIL %s: benchmark missing from baseline (regenerate with -json)\n", name)
 		ok = false
 	}
-	if sp := packedSpeedup(cur); sp < minPackedSpeedup {
-		fmt.Fprintf(os.Stderr, "FAIL packed vs scalar components at N=256: %.1fx host speedup, below %dx\n",
-			sp, minPackedSpeedup)
-		ok = false
-	} else {
-		fmt.Fprintf(os.Stderr, "ok   packed vs scalar components at N=256: %.1fx host speedup (floor %dx)\n",
-			sp, minPackedSpeedup)
+	for _, h := range hostFloors {
+		if r := h.ratio(cur); r < h.min {
+			fmt.Fprintf(w, "FAIL %s: %.2fx host speedup, below %gx\n", h.what, r, h.min)
+			ok = false
+		} else {
+			fmt.Fprintf(w, "ok   %s: %.1fx host speedup (floor %gx)\n", h.what, r, h.min)
+		}
 	}
 	if base.PeakRSSKB > 0 && cur.PeakRSSKB > 0 {
 		if cur.PeakRSSKB > rssSlackFactor*base.PeakRSSKB {
-			fmt.Fprintf(os.Stderr, "FAIL peak RSS %d KiB is more than %dx baseline %d KiB\n",
+			fmt.Fprintf(w, "FAIL peak RSS %d KiB is more than %dx baseline %d KiB\n",
 				cur.PeakRSSKB, rssSlackFactor, base.PeakRSSKB)
 			ok = false
 		} else {
-			fmt.Fprintf(os.Stderr, "ok   peak RSS %d KiB vs baseline %d KiB (limit %dx)\n",
+			fmt.Fprintf(w, "ok   peak RSS %d KiB vs baseline %d KiB (limit %dx)\n",
 				cur.PeakRSSKB, base.PeakRSSKB, rssSlackFactor)
 		}
 	}
 	if ok {
-		fmt.Fprintln(os.Stderr, "otbench: comparison PASSED")
+		fmt.Fprintln(w, "otbench: comparison PASSED")
 	} else {
-		fmt.Fprintln(os.Stderr, "otbench: comparison FAILED")
+		fmt.Fprintln(w, "otbench: comparison FAILED")
 	}
 	return ok
 }

@@ -25,7 +25,7 @@
 // generated updates through it (pixel flips with -grid, edge toggles
 // otherwise), and print per-batch round-trip latency percentiles:
 //
-//	otload -session -n 256 -grid -packed -batches 64 -batchsize 4
+//	otload -session -n 256 -grid -batches 64 -batchsize 4
 //
 // Against a journaling server (otserve -journal), -retries re-attempts
 // shed and lost requests with jittered backoff honoring Retry-After,
@@ -68,7 +68,6 @@ func main() {
 	minOK := flag.Int("minok", 0, "exit 1 unless at least this many jobs completed")
 	session := flag.Bool("session", false, "replay one streamed session instead of open-loop jobs")
 	grid := flag.Bool("grid", false, "session: pixel-image workload (n must be a perfect square)")
-	packed := flag.Bool("packed", false, "session: set the spec's packed field (kept for compatibility; healthy sessions run packed regardless)")
 	batches := flag.Int("batches", 32, "session: update batches to stream")
 	batchSize := flag.Int("batchsize", 4, "session: generated updates per batch")
 	retries := flag.Int("retries", 0, "re-attempts per request on 429/503 or transport error (Retry-After honored, idempotency keys attached)")
@@ -91,7 +90,7 @@ func main() {
 			URL: *url,
 			Spec: server.SessionSpec{
 				N: *n, Seed: *seed, Network: *network, Model: *model,
-				Packed: *packed, Grid: *grid, Faults: *faults, Events: ev,
+				Grid: *grid, Faults: *faults, Events: ev,
 			},
 			Batches: *batches, BatchSize: *batchSize,
 			SessionID: *sessionID, StartBatch: *startBatch,

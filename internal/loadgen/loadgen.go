@@ -3,8 +3,8 @@
 // or bursty) regardless of how the server is coping, which is exactly
 // the regime the admission ladder exists for. It records per-request
 // outcomes and reduces them to latency percentiles, shed rates and
-// per-client fairness counts. Both cmd/otload and otbench -servesweep
-// are thin wrappers around Run.
+// per-client fairness counts. cmd/otload is a thin wrapper around Run
+// and RunSession.
 package loadgen
 
 import (
@@ -69,9 +69,6 @@ type Options struct {
 	// ZipfS is the skew exponent (default 1.2; must be > 1).
 	ZipfSpecs int
 	ZipfS     float64
-	// HTTPClient overrides the transport (tests); nil uses a pooled
-	// default with a 30s safety timeout.
-	HTTPClient *http.Client
 
 	// specSeq is the precomputed per-request spec draw (zipf mode).
 	specSeq []uint64
@@ -204,10 +201,7 @@ func Run(o Options) (*Summary, error) {
 	if o.RunID == "" {
 		o.RunID = fmt.Sprintf("run-%d", time.Now().UnixNano())
 	}
-	client := o.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	rng := rand.New(rand.NewSource(int64(o.Seed)))
 	plan := schedule(&o, rng)
 	if len(plan) == 0 {

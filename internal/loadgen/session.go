@@ -62,9 +62,6 @@ type SessionOptions struct {
 	// chaos harness diffs these files between an interrupted-and-
 	// recovered run and an uninterrupted reference.
 	ReportPath string
-	// HTTPClient overrides the transport (tests); nil uses a 30s
-	// safety timeout.
-	HTTPClient *http.Client
 }
 
 // SessionSummary is the reduced result of a session replay.
@@ -127,10 +124,7 @@ func RunSession(o SessionOptions) (*SessionSummary, error) {
 	if o.StartBatch <= 0 {
 		o.StartBatch = 1
 	}
-	client := o.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	base := strings.TrimRight(o.URL, "/")
 
 	s := &SessionSummary{SessionID: o.SessionID}

@@ -76,7 +76,7 @@ kill_delay() {
 
 echo "chaossmoke: uninterrupted reference ($BATCHES batches, packed grid n=1024)"
 start_server
-"$TMP/otload" -url "http://$ADDR" -session -n 1024 -grid -packed \
+"$TMP/otload" -url "http://$ADDR" -session -n 1024 -grid \
     -batches "$BATCHES" -batchsize 8 -keepopen -reports "$TMP/ref.ndjson" \
     -minok "$BATCHES" >/dev/null
 kill -TERM "$SERVE_PID" && wait "$SERVE_PID" || true
@@ -84,7 +84,7 @@ SERVE_PID=""
 
 echo "chaossmoke: round 0: create session under -journal, SIGKILL at $(kill_delay 0)s"
 start_server -journal "$JOURNAL"
-"$TMP/otload" -url "http://$ADDR" -session -n 1024 -grid -packed \
+"$TMP/otload" -url "http://$ADDR" -session -n 1024 -grid \
     -batches "$BATCHES" -batchsize 8 -keyprefix chaos -keepopen -think 5ms \
     >/dev/null 2>&1 &
 LOAD_PID=$!

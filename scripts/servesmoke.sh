@@ -8,8 +8,8 @@
 #   3. drive it past capacity with otload, including a flooding client
 #      the fairness layer must isolate — otload exits non-zero on any
 #      transport error or 5xx, and unless enough jobs completed
-#   4. replay three streamed sessions end to end (a pixel grid and an
-#      unflagged Gnp graph, both healthy and so on the packed engine,
+#   4. replay three streamed sessions end to end (a pixel grid and a
+#      Gnp graph, both healthy and so on the packed engine,
 #      then scalar with supervised fault arrivals) — every update batch
 #      must come back as a 200 report
 #   5. SIGTERM otserve and propagate its exit code: 0 means the drain
@@ -58,10 +58,10 @@ echo "servesmoke: offered load 300/s for 2s + flooding client (capacity ~2 worke
     -misbehave -n 16 -minok 50
 
 echo "servesmoke: streamed session (grid, packed, 16 batches)"
-"$TMP/otload" -url "http://$ADDR" -session -n 256 -grid -packed \
+"$TMP/otload" -url "http://$ADDR" -session -n 256 -grid \
     -batches 16 -batchsize 4 -minok 16
 
-echo "servesmoke: streamed session (Gnp, healthy and unflagged: packed)"
+echo "servesmoke: streamed session (Gnp, healthy: packed)"
 "$TMP/otload" -url "http://$ADDR" -session -n 64 \
     -batches 16 -batchsize 4 -minok 16
 
