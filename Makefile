@@ -43,8 +43,11 @@ race:
 # supervisor, and the packed-vs-scalar differential (op streams must
 # produce identical bit-times and results);
 # plus the four-lane G(n, p) draw against the plain per-pair loop,
-# and the result cache's compact report form (exact round trip,
-# arbitrary bytes decode to an error without panicking).
+# the result cache's compact report form (exact round trip,
+# arbitrary bytes decode to an error without panicking), and the HTTP
+# server's request decoding (FuzzJobDecode: any POST /jobs or
+# /sessions body with any Idempotency-Key answers one of the service's
+# statuses without panicking, and a 200 single job is a report).
 fuzz:
 	$(GO) test -fuzz FuzzPlanDeterminism -fuzztime 10s ./internal/fault
 	$(GO) test -fuzz FuzzScheduleDeterminism -fuzztime 10s ./internal/fault
@@ -53,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz FuzzJournalTornTail -fuzztime 10s ./internal/journal
 	$(GO) test -fuzz FuzzGnpDraw -fuzztime 10s ./internal/workload
 	$(GO) test -fuzz FuzzCompactReport -fuzztime 10s ./internal/report
+	$(GO) test -fuzz FuzzJobDecode -fuzztime 10s ./internal/server
 
 # Regenerate the committed benchmark baseline (host numbers are
 # environmental; the simulated metrics inside must never change).

@@ -242,8 +242,8 @@ func Run(o Options) (*Summary, error) {
 // and, when Retries > 0, re-attempts shed (429/503) and transport
 // failures with jittered exponential backoff. Every attempt of a
 // retried request carries the same Idempotency-Key, so an answer the
-// transport lost comes back from the server's dedup table rather than
-// a second execution.
+// transport lost comes back from the server's idempotency store
+// rather than a second execution.
 func post(client *http.Client, o *Options, a arrival) Outcome {
 	job := o.Job
 	job.ID = fmt.Sprintf("req-%d", a.index)

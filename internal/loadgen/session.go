@@ -110,7 +110,7 @@ func (o *SessionOptions) keyFor(suffix string) string {
 // and streams batches into it. With KeyPrefix set every request is
 // idempotent: resubmitting the same batch sequence after a server
 // crash re-executes only the batches the journal never saw and
-// answers the rest from the dedup table.
+// answers the rest from the idempotency store.
 func RunSession(o SessionOptions) (*SessionSummary, error) {
 	if o.Batches <= 0 {
 		o.Batches = 32

@@ -17,11 +17,15 @@
 //     execute, and must Resolve the flight on every exit path so no
 //     follower is ever lost
 //
-// The layer is deliberately orthogonal to idempotency dedup: that
-// table answers retries of one client's key with the exact bytes that
-// client was promised; this cache answers any client's identical spec
-// with the canonical result bytes, which each caller re-labels with
-// its own transport metadata.
+// The server keeps two instances of this type, each with its own
+// budget. The result cache answers any client's identical spec with
+// canonical result bytes, which each caller re-labels with its own
+// transport metadata. The idempotency store answers retries of one
+// client's Idempotency-Key with the exact bytes that client was first
+// promised: its Lookup claims the key, its Resolve publishes (or, with
+// a nil body, releases) the answer, and recovery refills it with Put.
+// Sharing one budget would let a flood of unique specs evict promised
+// answers, so the two never share one.
 package rescache
 
 import (
@@ -93,10 +97,10 @@ type entry struct {
 	prev, next *entry
 }
 
-// maxKeyLen is the longest key kb's length byte can hold. Key's
+// MaxKeyLen is the longest key kb's length byte can hold. Key's
 // digests are 32 bytes; a longer key is served to its flight but
 // never stored.
-const maxKeyLen = 255
+const MaxKeyLen = 255
 
 func (e *entry) key() string { return e.kb[1 : 1+int(e.kb[0])] }
 
@@ -202,10 +206,10 @@ func (c *Cache) Resolve(key string, f *Flight, val any, body []byte) {
 
 // storeLocked publishes body under key and evicts from the LRU tail
 // until the budget holds. Oversize bodies, and bodies under keys
-// longer than maxKeyLen, are served to the current flight but never
+// longer than MaxKeyLen, are served to the current flight but never
 // stored.
 func (c *Cache) storeLocked(key string, body []byte) {
-	if int64(len(body)) > c.budget || len(key) > maxKeyLen {
+	if int64(len(body)) > c.budget || len(key) > MaxKeyLen {
 		return
 	}
 	if e, ok := c.byKey[key]; ok {
@@ -232,6 +236,31 @@ func (c *Cache) storeLocked(key string, body []byte) {
 		delete(c.byKey, tail.key())
 		c.bytes -= int64(len(tail.body()))
 		c.stats.Evictions++
+	}
+}
+
+// Put stores body under key outside any flight, replacing a stored
+// body; it never touches a flight in progress. Recovery uses it to
+// refill a cache whose later entries supersede earlier ones.
+func (c *Cache) Put(key string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[key]; ok {
+		e.unlink()
+		delete(c.byKey, key)
+		c.bytes -= int64(len(e.body()))
+	}
+	c.storeLocked(key, body)
+}
+
+// Walk calls fn on every stored entry, least recently used first, so
+// Putting them back in that order rebuilds the same eviction order.
+// fn runs under the cache's lock and must not call back into it.
+func (c *Cache) Walk(fn func(key string, body []byte)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.lru.prev; e != &c.lru; e = e.prev {
+		fn(e.key(), []byte(e.body()))
 	}
 }
 

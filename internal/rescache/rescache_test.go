@@ -247,3 +247,40 @@ func TestEntryBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 }
+
+// TestPutReplacesAndWalkRebuildsOrder pins the two recovery methods:
+// Put supersedes a stored body and keeps the byte count exact, and
+// Walk visits least recently used first, so Putting its entries into
+// a fresh cache rebuilds the same eviction order.
+func TestPutReplacesAndWalkRebuildsOrder(t *testing.T) {
+	c := New(10)
+	c.Put("a", []byte("1111"))
+	c.Put("b", []byte("22"))
+	c.Put("a", []byte("333"))
+	if body, _, _ := c.Lookup("a"); string(body) != "333" {
+		t.Fatalf("Put did not replace: %q", body)
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Bytes != 5 {
+		t.Fatalf("stats after replace: %+v", s)
+	}
+	c.Lookup("b") // b is now the most recently used
+
+	d := New(10)
+	var order []string
+	c.Walk(func(key string, body []byte) {
+		order = append(order, key)
+		d.Put(key, body)
+	})
+	if fmt.Sprint(order) != "[a b]" {
+		t.Fatalf("walk order %v, want oldest first [a b]", order)
+	}
+	d.Put("c", []byte("666666")) // 11 bytes: evicts the oldest, a
+	if body, f, _ := d.Lookup("a"); body != nil {
+		t.Fatalf("rebuilt cache evicted out of order: a still holds %q", body)
+	} else {
+		d.Resolve("a", f, nil, nil)
+	}
+	if body, _, _ := d.Lookup("b"); string(body) != "22" {
+		t.Fatalf("rebuilt cache lost b: %q", body)
+	}
+}

@@ -130,14 +130,17 @@ type Server struct {
 	sess         sessionTable
 	sessInflight sync.WaitGroup
 
+	// idem holds each Idempotency-Key's answer (see claimKey), with or
+	// without a journal and whatever the result cache's setting.
+	idem *rescache.Cache
+
 	// Durability (nil/zero when JournalDir is unset): the write-ahead
-	// journal, the idempotency table, and the compaction barrier. Every
-	// journaled mutation holds jmu for reading; CompactNow holds it for
-	// writing, so a snapshot never races the records it must cover.
+	// journal and the compaction barrier. Every journaled mutation
+	// holds jmu for reading; CompactNow holds it for writing, so a
+	// snapshot never races the records it must cover.
 	// Lock order: jmu before sess.mu before Session.lock.
 	jl         *journal.Journal
 	jmu        sync.RWMutex
-	dedup      *dedupTable
 	recovering bool
 
 	sweepStop chan struct{}
@@ -158,7 +161,7 @@ func New(cfg Config) *Server {
 
 // newServer builds the unstarted core shared by New and Open.
 func newServer(cfg Config) *Server {
-	s := &Server{cfg: cfg, dedup: newDedupTable()}
+	s := &Server{cfg: cfg, idem: rescache.New(idemBudget)}
 	s.cache = mcache.NewWithCapacity(cfg.CacheCap)
 	s.scache = mcache.NewWithCapacity(cfg.MaxSessions)
 	if cfg.ResultCacheBytes >= 0 {
@@ -370,24 +373,17 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeShed(w, http.StatusBadRequest, "invalid", err.Error(), "", 0)
 		return
 	}
-	key := idemKey(r, spec.IdemKey)
-	if !s.claimKey(w, r, key, spec.ID) {
+	key, fl, ok := s.claimKey(w, r, spec.IdemKey, spec.ID)
+	if !ok {
 		return
 	}
-	defer s.dedup.abort(key)
+	defer s.idem.Resolve(key, fl, nil, nil)
 	if err := spec.Validate(); err != nil {
 		s.metrics.add(func(m *Metrics) { m.invalid++ })
 		writeShed(w, http.StatusBadRequest, "invalid", err.Error(), spec.ID, 0)
 		return
 	}
-	s.jmu.RLock()
-	jerr := s.journalRecord(&walRecord{T: "job", Key: key, Job: &spec})
-	s.jmu.RUnlock()
-	if jerr != nil {
-		writeShed(w, http.StatusInternalServerError, "failed", jerr.Error(), spec.ID, 0)
-		return
-	}
-	s.writeOutcome(w, &spec, key, s.wait(r, s.admitJob(r, &spec, nil)))
+	s.writeOutcome(w, &spec, key, fl, s.wait(r, s.admitJob(r, &spec, nil)))
 }
 
 // streamItem is one NDJSON line of an array submission.
@@ -426,20 +422,10 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, body []
 			emit(streamItem{Status: "invalid", Error: "null job"})
 			continue
 		}
-		// An invalid element is not journaled; admission refuses it
-		// after the draining check, so a draining server answers it
-		// "draining" like every other element.
-		verr := spec.Validate()
-		if verr == nil {
-			s.jmu.RLock()
-			jerr := s.journalRecord(&walRecord{T: "job", Job: spec})
-			s.jmu.RUnlock()
-			if jerr != nil {
-				emit(streamItem{JobID: spec.ID, Status: "failed", Error: jerr.Error()})
-				continue
-			}
-		}
-		t := s.admitJob(r, spec, verr)
+		// Admission refuses an invalid element after the draining
+		// check, so a draining server answers it "draining" like every
+		// other element.
+		t := s.admitJob(r, spec, spec.Validate())
 		if t.out != nil {
 			emit(streamOutcome(spec.ID, *t.out))
 			continue

@@ -2,30 +2,32 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
+	"repro/internal/rescache"
 	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
 // walRecord is one journaled mutation (or its outcome). Every admitted
-// mutation — session create, update batch, session delete/eviction,
-// job submission — is appended and fsynced BEFORE it executes, so a
-// crash can lose an unacknowledged attempt but never an acknowledged
-// one; recovery re-executes the intents in order. Result records carry
-// the exact response bytes of keyed mutations so a retried idempotency
-// key answers byte-for-byte without re-executing.
+// session mutation — create, update batch, delete/eviction — is
+// appended and fsynced BEFORE it executes, so a crash can lose an
+// unacknowledged attempt but never an acknowledged one; recovery
+// re-executes the intents in order. Jobs are stateless and journal no
+// intent. Result records carry the exact response bytes of keyed
+// mutations and keyed jobs so a retried idempotency key answers
+// byte-for-byte without re-executing.
 type walRecord struct {
-	T string `json:"t"` // create | update | delete | evict | job | result
+	T string `json:"t"` // create | update | delete | evict | result
 
 	SID  string         `json:"sid,omitempty"`
 	Key  string         `json:"key,omitempty"`
 	Spec *SessionSpec   `json:"spec,omitempty"` // create
 	Req  *updateRequest `json:"req,omitempty"`  // update
-	Job  *Job           `json:"job,omitempty"`  // job submission
 
 	Status int    `json:"status,omitempty"` // result
 	Body   []byte `json:"body,omitempty"`   // result (exact response bytes)
@@ -38,6 +40,38 @@ type serverSnap struct {
 	Seq      uint64         `json:"seq"`
 	Dedup    []dedupSnap    `json:"dedup,omitempty"`
 	Sessions []*sessionSnap `json:"sessions,omitempty"`
+}
+
+// dedupSnap is one stored idempotency answer in the snapshot, oldest
+// first. Older snapshots also carry a "synth" field, which decoding
+// ignores.
+type dedupSnap struct {
+	Key    string `json:"key"`
+	Status int    `json:"status"`
+	Body   []byte `json:"body"`
+}
+
+// idemBudget bounds the bytes of idempotency answers s.idem keeps. A
+// retry is deduplicated only while its key's answer is resident: once
+// the answer is evicted, least recently used first, the retry executes
+// again and applies a second batch or creates a second session. So the
+// window must outlast any plausible client retry horizon. Keyed
+// {"count":4} updates on grid n=1024 and Gnp n=64 sessions answer with
+// 303 B on average, so 8,192 answers need about 2.5 MiB; 3 MiB keeps
+// about 10,000. The budget is its own, not the result cache's, so a
+// flood of unique specs never evicts a promised answer.
+const idemBudget = 3 << 20
+
+// storeAnswer and loadAnswer are the one encoding of an idempotency
+// answer in s.idem: the HTTP status in two big-endian bytes ahead of
+// the exact response body.
+func storeAnswer(status int, body []byte) []byte {
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(body)), uint16(status))
+	return append(b, body...)
+}
+
+func loadAnswer(b []byte) (status int, body []byte) {
+	return int(binary.BigEndian.Uint16(b)), b[2:]
 }
 
 // sessionSnap is one session in the snapshot. Healthy sessions store
@@ -109,16 +143,6 @@ func writeRendered(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// idemKey extracts the client's idempotency key: the Idempotency-Key
-// header, or (for jobs) the idem_key body field when the header is
-// absent.
-func idemKey(r *http.Request, bodyKey string) string {
-	if k := r.Header.Get("Idempotency-Key"); k != "" {
-		return k
-	}
-	return bodyKey
-}
-
 // journalRecord appends one record to the WAL and waits for its fsync.
 // A nil journal (journaling off) and recovery replay (the records
 // being re-executed are already durable) are no-ops. An append error
@@ -139,49 +163,67 @@ func (s *Server) journalRecord(rec *walRecord) error {
 	return nil
 }
 
-// claimKey claims a request's idempotency key. It returns true when
-// the caller holds the key (or sent none) and must answer the request
-// itself; the caller then defers s.dedup.abort(key), which releases a
-// key its attempt never published so the retry gets a real attempt.
-// It returns false when it has already answered: with the key's
-// published bytes, verbatim, marked by the Idempotent-Replay header so
-// clients (and the fairness ledger in otload) can count hits without
-// parsing bodies, or with a 504 when the request's context ended while
+// claimKey claims a request's idempotency key in s.idem: the
+// Idempotency-Key header, or (for jobs) the idem_key body field when
+// the header is absent. It returns ok when the caller holds the key
+// (or sent none) and must answer the request itself; the caller then
+// defers s.idem.Resolve(key, fl, nil, nil), which releases a key its
+// attempt never published so the retry gets a real attempt (after
+// publish it does nothing: Resolve's first call wins). It returns
+// !ok when it has already answered: with the key's stored bytes,
+// verbatim, marked by the Idempotent-Replay header so clients (and the
+// fairness ledger in otload) can count hits without parsing bodies;
+// with a 400 for a key too long to store, whose retries could never be
+// deduplicated; or with a 504 when the request's context ended while
 // another holder of the key was still executing.
-func (s *Server) claimKey(w http.ResponseWriter, r *http.Request, key, jobID string) bool {
+func (s *Server) claimKey(w http.ResponseWriter, r *http.Request, bodyKey, jobID string) (string, *rescache.Flight, bool) {
+	key := r.Header.Get("Idempotency-Key")
 	if key == "" {
-		return true
+		key = bodyKey
+	}
+	if key == "" {
+		return "", nil, true
+	}
+	if len(key) > rescache.MaxKeyLen {
+		s.metrics.add(func(m *Metrics) { m.invalid++ })
+		writeShed(w, http.StatusBadRequest, "invalid",
+			fmt.Sprintf("idempotency key longer than %d bytes", rescache.MaxKeyLen), jobID, 0)
+		return key, nil, false
 	}
 	for {
-		e, leader, wait := s.dedup.begin(key)
-		switch {
-		case leader:
-			return true
-		case wait == nil:
-			w.Header().Set("Idempotent-Replay", "true")
-			s.metrics.add(func(m *Metrics) { m.dedupHits++ })
-			writeRendered(w, e.status, e.body)
-			return false
+		stored, fl, leader := s.idem.Lookup(key)
+		if leader {
+			return key, fl, true
 		}
-		select {
-		case <-wait:
-			// Published or aborted: claim again to find out which.
-		case <-r.Context().Done():
-			writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", jobID, 0)
-			return false
+		if stored == nil {
+			select {
+			case <-fl.Done():
+				_, stored = fl.Value()
+			case <-r.Context().Done():
+				writeShed(w, http.StatusGatewayTimeout, "deadline", "deadline exceeded", jobID, 0)
+				return key, nil, false
+			}
+			if stored == nil {
+				continue // the leader released the key: claim it again
+			}
 		}
+		w.Header().Set("Idempotent-Replay", "true")
+		s.metrics.add(func(m *Metrics) { m.dedupHits++ })
+		status, body := loadAnswer(stored)
+		writeRendered(w, status, body)
+		return key, nil, false
 	}
 }
 
-// publish journals a keyed request's executed response and releases
-// it to the key's waiters and retries; without a key it does nothing.
-// Callers hold jmu for reading.
-func (s *Server) publish(key string, status int, body []byte) {
+// publish journals a keyed request's executed response and resolves
+// the key's flight with it, answering its waiters and retries; without
+// a key it does nothing. Callers hold jmu for reading.
+func (s *Server) publish(key string, fl *rescache.Flight, status int, body []byte) {
 	if key == "" {
 		return
 	}
 	s.journalRecord(&walRecord{T: "result", Key: key, Status: status, Body: body})
-	s.dedup.finish(key, status, body, false)
+	s.idem.Resolve(key, fl, nil, storeAnswer(status, body))
 }
 
 // CompactNow captures the full service state as a snapshot and
@@ -209,7 +251,10 @@ func (s *Server) CompactNow() error {
 			snap.Sessions = append(snap.Sessions, ss)
 		}
 	}
-	snap.Dedup = s.dedup.snapshotEntries()
+	s.idem.Walk(func(key string, b []byte) {
+		status, body := loadAnswer(b)
+		snap.Dedup = append(snap.Dedup, dedupSnap{Key: key, Status: status, Body: body})
+	})
 	blob, err := json.Marshal(&snap)
 	if err != nil {
 		return err

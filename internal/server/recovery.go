@@ -98,7 +98,11 @@ func (s *Server) restoreSnapshot(blob []byte) error {
 		s.sess.seq = snap.Seq
 	}
 	s.sess.mu.Unlock()
-	s.dedup.restore(snap.Dedup)
+	for _, d := range snap.Dedup {
+		if d.Key != "" && len(d.Body) > 0 {
+			s.idem.Put(d.Key, storeAnswer(d.Status, d.Body))
+		}
+	}
 	for _, ss := range snap.Sessions {
 		if ss == nil || ss.Spec == nil {
 			continue
@@ -228,15 +232,14 @@ func (s *Server) replayRecord(payload []byte) error {
 	case "delete", "evict":
 		s.replayDelete(&rec)
 	case "job":
-		// Jobs are stateless: an intent with no result record was
-		// in-flight at the crash; the client never got an answer and
-		// its retry re-executes.
+		// A job intent from an older binary: jobs are stateless, and a
+		// keyed job's answer is its result record.
 	case "result":
 		if rec.Key != "" && len(rec.Body) > 0 {
 			// The executed outcome's exact bytes survive: a retried key
-			// answers byte-for-byte, superseding any synthesized entry
-			// built from the intent during this replay.
-			s.dedup.finish(rec.Key, rec.Status, rec.Body, false)
+			// answers byte-for-byte, superseding any answer synthesized
+			// from the intent during this replay.
+			s.idem.Put(rec.Key, storeAnswer(rec.Status, rec.Body))
 		}
 	default:
 		s.metrics.add(func(m *Metrics) { m.recordsSkipped++ })
@@ -273,7 +276,13 @@ func (s *Server) replayCreate(rec *walRecord) {
 	} else {
 		body = renderJSON(shedError{Error: msg, Reason: "failed"})
 	}
-	s.dedup.finish(rec.Key, status, body, true)
+	s.synthesize(rec.Key, status, body)
+}
+
+// synthesize stores the answer recovery rebuilt for a keyed intent
+// whose result record was lost with the process.
+func (s *Server) synthesize(key string, status int, body []byte) {
+	s.idem.Put(key, storeAnswer(status, body))
 	s.metrics.add(func(m *Metrics) { m.dedupSynthesized++ })
 }
 
@@ -295,8 +304,7 @@ func (s *Server) replayUpdate(rec *walRecord) {
 		return
 	}
 	rep.Replayed, rep.Deduped = true, true
-	s.dedup.finish(rec.Key, status, renderJSON(rep), true)
-	s.metrics.add(func(m *Metrics) { m.dedupSynthesized++ })
+	s.synthesize(rec.Key, status, renderJSON(rep))
 }
 
 func (s *Server) replayDelete(rec *walRecord) {
@@ -313,8 +321,7 @@ func (s *Server) replayDelete(rec *walRecord) {
 			"deduped": "true", "replayed": "true",
 			"session_id": rec.SID, "status": "closed",
 		})
-		s.dedup.finish(rec.Key, 200, body, true)
-		s.metrics.add(func(m *Metrics) { m.dedupSynthesized++ })
+		s.synthesize(rec.Key, 200, body)
 	}
 }
 

@@ -22,9 +22,10 @@ import (
 // checkout, so stored hits and coalesced followers never hold a worker
 // slot or a machine.
 //
-// Orthogonality to idempotency dedup: the dedup table answers
-// *retries of one client's key* with the exact bytes that client was
-// first promised (its own job_id included); the result cache answers
+// Orthogonality to idempotency dedup: the idempotency store (s.idem,
+// a second rescache.Cache with its own budget) answers *retries of
+// one client's key* with the exact bytes that client was first
+// promised (its own job_id included); the result cache answers
 // *any client's identical spec* with canonical bytes that each
 // response re-labels with its own job_id and a cached/coalesced mark.
 // A keyed request that hits the result cache still journals its
@@ -177,7 +178,7 @@ func served(o outcome, jobID string) (*report.Report, error) {
 // for unrecovered supervised runs (the report carries recovered=false
 // and the error); no report is a 500, or a 504 when the job's context
 // ended.
-func (s *Server) writeOutcome(w http.ResponseWriter, spec *Job, key string, o outcome) {
+func (s *Server) writeOutcome(w http.ResponseWriter, spec *Job, key string, fl *rescache.Flight, o outcome) {
 	if o.shed != nil {
 		writeShed(w, o.shed.status, o.shed.reason, o.shed.msg, spec.ID, o.shed.retry)
 		return
@@ -203,7 +204,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, spec *Job, key string, o ou
 	// it is not published under the key.
 	if key != "" && (err == nil || o.mark == "") {
 		s.jmu.RLock()
-		s.publish(key, http.StatusOK, body)
+		s.publish(key, fl, http.StatusOK, body)
 		s.jmu.RUnlock()
 	}
 	writeRendered(w, http.StatusOK, body)

@@ -205,11 +205,11 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if spec.Client == "" {
 		spec.Client = r.Header.Get("X-Client-ID")
 	}
-	key := idemKey(r, "")
-	if !s.claimKey(w, r, key, "") {
+	key, fl, ok := s.claimKey(w, r, "", "")
+	if !ok {
 		return
 	}
-	defer s.dedup.abort(key)
+	defer s.idem.Resolve(key, fl, nil, nil)
 	if ok, retry := s.fairness.Allow(spec.Client); !ok {
 		s.metrics.add(func(m *Metrics) { m.shedRateLimited++ })
 		writeShed(w, http.StatusTooManyRequests, "rate_limited",
@@ -262,7 +262,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.add(func(m *Metrics) { m.sessionsCreated++ })
 	out := renderJSON(rep)
-	s.publish(key, http.StatusOK, out)
+	s.publish(key, fl, http.StatusOK, out)
 	writeRendered(w, http.StatusOK, out)
 }
 
@@ -426,11 +426,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // handleDelete closes a session, journaling the intent first so
 // recovery never resurrects a closed session.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Session) {
-	key := idemKey(r, "")
-	if !s.claimKey(w, r, key, "") {
+	key, fl, ok := s.claimKey(w, r, "", "")
+	if !ok {
 		return
 	}
-	defer s.dedup.abort(key)
+	defer s.idem.Resolve(key, fl, nil, nil)
 	s.jmu.RLock()
 	defer s.jmu.RUnlock()
 	if err := s.journalRecord(&walRecord{T: "delete", SID: sess.id, Key: key}); err != nil {
@@ -443,7 +443,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Sess
 	s.releaseSession(sess)
 	s.metrics.add(func(m *Metrics) { m.sessionsClosed++ })
 	body := renderJSON(map[string]string{"status": "closed", "session_id": sess.id})
-	s.publish(key, http.StatusOK, body)
+	s.publish(key, fl, http.StatusOK, body)
 	writeRendered(w, http.StatusOK, body)
 }
 
@@ -516,11 +516,11 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request, sess *Ses
 		writeShed(w, http.StatusBadRequest, "invalid", err.Error(), "", 0)
 		return
 	}
-	key := idemKey(r, "")
-	if !s.claimKey(w, r, key, "") {
+	key, fl, ok := s.claimKey(w, r, "", "")
+	if !ok {
 		return
 	}
-	defer s.dedup.abort(key)
+	defer s.idem.Resolve(key, fl, nil, nil)
 	if s.pool.Draining() {
 		s.metrics.add(func(m *Metrics) { m.rejectedDrain++ })
 		writeShed(w, http.StatusServiceUnavailable, "draining", "server is draining", "", time.Second)
@@ -552,7 +552,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request, sess *Ses
 	out := renderJSON(rep)
 	// Both 200 and the deterministic 500 are executed outcomes: journal
 	// the bytes and publish them for retries.
-	s.publish(key, status, out)
+	s.publish(key, fl, status, out)
 	writeRendered(w, status, out)
 }
 

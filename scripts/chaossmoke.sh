@@ -14,7 +14,7 @@
 #      (asserting recovered labels bit-identical before serving) and
 #      the client resubmits the ENTIRE sequence with the same
 #      idempotency keys — already-executed batches answer from the
-#      dedup table, never-executed ones run fresh
+#      idempotency store, never-executed ones run fresh
 #   5. the final pass writes its per-batch reports and byte-compares
 #      them against the uninterrupted reference: any divergence —
 #      lost batch, double-applied batch, drifted RNG, wrong clock —
